@@ -357,16 +357,9 @@ def core_radius_energy(
 
     gx = h * _superposition_gradient(fx1, fx2, mu.atoms)[0]
     gy = h * _superposition_gradient(fy1, fy2, mu.atoms)[1]
-
-    def apply_a(phi: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(phi)
-        fx = wx * (phi[1:, :] - phi[:-1, :])
-        out[:-1, :] -= fx
-        out[1:, :] += fx
-        fy = wy * (phi[:, 1:] - phi[:, :-1])
-        out[:, :-1] -= fy
-        out[:, 1:] += fy
-        return out
+    # free the set-up grids before the solve buffers exist, so they do not
+    # add to the peak
+    del x1, x2, fx1, fx2, fy1, fy2
 
     b = np.zeros((n, n))
     t = wx * gx
@@ -375,7 +368,23 @@ def core_radius_energy(
     t = wy * gy
     b[:, :-1] += t
     b[:, 1:] -= t
+    del t
     b *= active
+
+    # the operator's output and face fluxes, reused by every CG iteration
+    out = np.empty((n, n))
+    fx = np.empty((n - 1, n))
+    fy = np.empty((n, n - 1))
+
+    def apply_a(phi: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        np.multiply(wx, np.subtract(phi[1:, :], phi[:-1, :], out=fx), out=fx)
+        out[:-1, :] -= fx
+        out[1:, :] += fx
+        np.multiply(wy, np.subtract(phi[:, 1:], phi[:, :-1], out=fy), out=fy)
+        out[:, :-1] -= fy
+        out[:, 1:] += fy
+        return out
 
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
     precond = dct2_preconditioner((n, n), abar, restrict=active)

@@ -304,7 +304,7 @@ def detect_vortices(v: VectorField2D, zeta: float = 0.5) -> VortexMeasure:
     Each plaquette sums its four nearest-branch edge angle increments; the
     result is an exact multiple of 2 pi, giving an integer winding.
     Plaquettes with nonzero winding are clustered by 8-connectivity; each
-    cluster yields one atom at its winding-weighted centroid with the
+    cluster yields one atom at its |winding|-weighted centroid with the
     cluster's total winding as charge (clusters cancelling to zero are
     dropped).  Winding only sees the phase, so detection is invariant
     under positive modulus rescaling; `zeta` is the modulus level below
@@ -331,19 +331,21 @@ def detect_vortices(v: VectorField2D, zeta: float = 0.5) -> VortexMeasure:
     labels, n_lab = ndimage.label(winding != 0, structure=np.ones((3, 3)))
     grid = v.grid
     h = grid.h
-    atoms = []
-    for lab in range(1, n_lab + 1):
-        sel = labels == lab
-        total = int(winding[sel].sum())
-        if total == 0:
-            continue
-        idx = np.argwhere(sel)
-        weights = winding[sel].astype(float)
-        cx = grid.origin[0] + (idx[:, 0] + 0.5) * h
-        cy = grid.origin[1] + (idx[:, 1] + 0.5) * h
-        px = float(np.sum(weights * cx) / weights.sum())
-        py = float(np.sum(weights * cy) / weights.sum())
-        atoms.append(((px, py), total))
+    index = np.arange(1, n_lab + 1)
+    # |winding| weights keep each centroid a convex combination of its
+    # plaquette centres, hence inside the domain, for mixed-sign clusters too
+    weights = np.abs(winding).astype(float)
+    cx = grid.origin[0] + (np.arange(winding.shape[0]) + 0.5) * h
+    cy = grid.origin[1] + (np.arange(winding.shape[1]) + 0.5) * h
+    totals = ndimage.sum_labels(winding, labels, index)
+    masses = ndimage.sum_labels(weights, labels, index)
+    sx = ndimage.sum_labels(weights * cx[:, None], labels, index)
+    sy = ndimage.sum_labels(weights * cy[None, :], labels, index)
+    atoms = [
+        ((float(x / m), float(y / m)), int(total))
+        for total, m, x, y in zip(totals, masses, sx, sy)
+        if total != 0
+    ]
     domain = Rectangle(grid.origin, grid.extent)
     return VortexMeasure(tuple(atoms), domain)
 

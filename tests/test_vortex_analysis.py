@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from vortexlab.fields import CartesianGrid, VectorField2D
 from vortexlab.vortex_analysis import (
@@ -191,6 +192,84 @@ def test_detect_vortices_modulus_invariance():
     plain = detect_vortices(_phase_field(grid, atoms))
     scaled = detect_vortices(_phase_field(grid, atoms, modulus=bumpy))
     assert plain.atoms == scaled.atoms
+
+
+def _loop_detect(v):
+    """Reference detection: one full-array pass per cluster, centroid
+    weighted by the signed winding.  Returns (position, charge, single_sign)
+    per cluster with nonzero charge, without building a VortexMeasure."""
+    w = v.values
+    ang = np.arctan2(w[..., 1], w[..., 0])
+    ex = np.angle(np.exp(1j * (ang[1:, :] - ang[:-1, :])))
+    ey = np.angle(np.exp(1j * (ang[:, 1:] - ang[:, :-1])))
+    loop = ex[:, :-1] + ey[1:, :] - ex[:, 1:] - ey[:-1, :]
+    winding = np.rint(loop / (2.0 * np.pi)).astype(int)
+    labels, n_lab = ndimage.label(winding != 0, structure=np.ones((3, 3)))
+    h = v.grid.h
+    found = []
+    for lab in range(1, n_lab + 1):
+        sel = labels == lab
+        total = int(winding[sel].sum())
+        if total == 0:
+            continue
+        idx = np.argwhere(sel)
+        weights = winding[sel].astype(float)
+        cx = v.grid.origin[0] + (idx[:, 0] + 0.5) * h
+        cy = v.grid.origin[1] + (idx[:, 1] + 0.5) * h
+        found.append(((float(np.sum(weights * cx) / weights.sum()),
+                       float(np.sum(weights * cy) / weights.sum())),
+                      total, bool(np.all(weights * total > 0))))
+    return found
+
+
+def test_detect_vortices_agrees_with_loop_on_single_sign_clusters():
+    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (128, 128))
+    rng = np.random.default_rng(12)
+    atoms = []
+    while len(atoms) < 12:
+        p = tuple(rng.uniform(0.05, 0.95, 2))
+        if all(math.dist(p, q) > 0.1 for q, _ in atoms):
+            atoms.append((p, int(rng.choice([-2, -1, 1, 2]))))
+    v = _phase_field(grid, atoms)
+    reference = _loop_detect(v)
+    assert len(reference) == len(atoms)
+    assert all(single for _, _, single in reference)
+    found = detect_vortices(v).atoms
+    assert [z for _, z in found] == [z for _, z, _ in reference]
+    for (p, _), (q, _, _) in zip(found, reference):
+        assert p == pytest.approx(q, rel=0.0, abs=1e-12)
+
+
+def test_detect_vortices_mixed_sign_cluster_stays_inside():
+    # windings +1, +1 on two plaquettes of the first column and -1 between
+    # them in the second: the signed centroid lands half a cell outside the
+    # left edge, the |winding|-weighted one at x = (0.5 + 0.5 + 1.5) h / 3
+    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (32, 32))
+    h = grid.h
+    y = 15.5 * h
+    v = _phase_field(grid, (((0.5 * h, y - h), 1), ((0.5 * h, y + h), 1),
+                            ((1.5 * h, y), -1)))
+    (signed_pos, charge, single), = _loop_detect(v)
+    assert (charge, single) == (1, False)
+    assert not UNIT.contains(signed_pos)
+    mu = detect_vortices(v)
+    assert len(mu.atoms) == 1
+    (pos, z), = mu.atoms
+    assert z == 1
+    assert pos == pytest.approx((2.5 * h / 3.0, y), abs=1e-12)
+
+
+def test_detect_vortices_raw_quench_charge_matches_boundary():
+    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
+    boundary = _phase_field(grid, (((0.5, 0.5), 1),)).values
+    phases = np.random.default_rng(13).uniform(0.0, 2.0 * np.pi, grid.node_shape)
+    w = np.stack([np.cos(phases), np.sin(phases)], axis=-1)
+    w[0], w[-1], w[:, 0], w[:, -1] = (boundary[0], boundary[-1],
+                                      boundary[:, 0], boundary[:, -1])
+    v = VectorField2D(grid, w)
+    mu = detect_vortices(v)
+    assert len(mu.atoms) > 10
+    assert mu.total_charge == boundary_degree(v).value == 1
 
 
 def test_detect_vortices_empty():

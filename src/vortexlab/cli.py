@@ -22,6 +22,7 @@ from .ball_construction import WeightedBall, evolve
 from .cell_problem import homogenized_tensor, refine_tensor
 from .experiments import (
     ConfigError,
+    _atoms_from_spec,
     coefficient_from_spec,
     emit_report,
     parse_config,
@@ -74,16 +75,6 @@ def _domain_from(data: dict) -> Rectangle:
         dom = data["domain"]
         return Rectangle(tuple(dom["origin"]), tuple(dom["extent"]))
     return Rectangle((0.0, 0.0), (1.0, 1.0))
-
-
-def _atoms_from(data: dict) -> tuple:
-    entries = data.get("vortices")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("'vortices' must be a nonempty list")
-    atoms = []
-    for entry in entries:
-        atoms.append(((float(entry["x"]), float(entry["y"])), int(entry["charge"])))
-    return tuple(atoms)
 
 
 def _cmd_cell(args: argparse.Namespace) -> int:
@@ -180,7 +171,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     epsilon = float(data.get("epsilon", 2.0**-6))
     delta = float(data.get("delta", epsilon))
     domain = _domain_from(data)
-    mu = VortexMeasure(_atoms_from(data), domain)
+    mu = VortexMeasure(_atoms_from_spec(data.get("vortices"), "vortices"), domain)
     grid = default_grid(domain, epsilon, int(data.get("cells_per_epsilon", 4)))
     params = GLParameters(epsilon, delta, coeff, grid)
     relocate = bool(data.get("relocate", False))
@@ -215,6 +206,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         "potential_term": report.energy.potential_term,
         "iterations": report.iterations,
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
         "vortices": [
             {"x": p[0], "y": p[1], "charge": z} for p, z in report.vortices.atoms
         ],
@@ -222,7 +214,8 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     path = _write_json(payload, args.out, "minimize.json")
     print(
         f"energy {initial.total:.6f} -> {report.energy.total:.6f} in "
-        f"{report.iterations} iterations (converged={report.converged}) -> {path}"
+        f"{report.iterations} iterations (converged={report.converged}, "
+        f"stop_reason={report.stop_reason}) -> {path}"
     )
     return 0
 

@@ -17,6 +17,13 @@ minimizer when the coefficient oscillates, and the superposition of angle
 fields far away.  `core_radius_energy` measures the prescribed-degree
 minimum over unit-modulus fields outside eps-disks — a single linear
 solve, and the quantitative measurement channel of the scaling studies.
+
+`minimize_gl` descends the energy with boundary nodes held fixed, by
+nonlinear conjugate gradients with an exact line search: along a line the
+energy is a quartic in the step, so one pass over the grid gives its four
+coefficients and the step is the lowest root of the cubic derivative.  A
+step that would raise the energy is never taken, and the report says why
+the descent stopped (`STOP_REASONS`).
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "EnergyBreakdown",
     "MinimizeBudget",
     "MinimizationReport",
+    "STOP_REASONS",
     "default_grid",
     "gl_energy",
     "relocated_measure",
@@ -411,8 +419,12 @@ class MinimizeBudget:
     max_iterations: int = 2000
     stall_window: int = 50
     stall_rtol: float = 1e-8
-    armijo_slope: float = 1e-4
-    initial_step: float = 1.0
+
+
+#: Why a descent stopped (see `minimize_gl`); the first three are convergence.
+STOP_REASONS = (
+    "stalled", "rounding_floor", "zero_gradient", "budget", "line_search"
+)
 
 
 @dataclass
@@ -421,40 +433,107 @@ class MinimizationReport:
     energy: EnergyBreakdown
     trace: list[float]
     vortices: VortexMeasure
-    converged: bool
+    stop_reason: str
     iterations: int
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in STOP_REASONS[:3]
 
-def _energy_and_gradient(
-    w: np.ndarray,
-    a_ex: np.ndarray,
-    a_ey: np.ndarray,
-    rx: np.ndarray,
-    ry: np.ndarray,
-    node_w: np.ndarray,
-    inv_eps2: float,
-    need_gradient: bool,
-) -> tuple[float, Optional[np.ndarray]]:
-    dx = w[1:, :, :] - w[:-1, :, :]
-    dy = w[:, 1:, :] - w[:, :-1, :]
-    cx = (a_ex * rx)[..., None]
-    cy = (a_ey * ry)[..., None]
-    grad_term = float(np.sum(cx * dx * dx) + np.sum(cy * dy * dy))
-    mod2 = np.sum(w * w, axis=-1)
-    defect = 1.0 - mod2
-    pot_term = inv_eps2 * float(np.sum(node_w * defect**2))
-    energy = grad_term + pot_term
-    if not need_gradient:
-        return energy, None
-    g = np.zeros_like(w)
-    fx = 2.0 * cx * dx
-    g[:-1, :, :] -= fx
-    g[1:, :, :] += fx
-    fy = 2.0 * cy * dy
-    g[:, :-1, :] -= fy
-    g[:, 1:, :] += fy
-    g += (-4.0 * inv_eps2) * (node_w * defect)[..., None] * w
-    return energy, g
+
+class _DescentKernel:
+    """Energy, gradient and line-search quartic of the GL energy on one grid.
+
+    Fields are component-first arrays of shape (2, nx+1, ny+1).  The edge
+    weights c = a * row-weight and the node weights m = area / eps^2 are
+    built once, and every work array is allocated once, so an evaluation
+    allocates nothing of grid size.
+    """
+
+    def __init__(self, grid: CartesianGrid, params: GLParameters) -> None:
+        a_ex, a_ey = _edge_coefficients(grid, params.coefficient, params.delta)
+        rx, ry = _edge_row_weights(grid)
+        self.cx = a_ex * rx
+        self.cy = a_ey * ry
+        self.m = _node_area_weights(grid) / params.epsilon**2
+        nx, ny = grid.n
+        self._dx = np.empty((2, nx, ny + 1))
+        self._dy = np.empty((2, nx + 1, ny))
+        self._fx = np.empty_like(self._dx)
+        self._fy = np.empty_like(self._dy)
+        self._p = np.empty(grid.node_shape)
+        self._q = np.empty(grid.node_shape)
+        self._mq = np.empty(grid.node_shape)
+
+    def energy_gradient(
+        self, w: np.ndarray, g: np.ndarray, defect: np.ndarray
+    ) -> float:
+        """E(w).  Writes dE/dw, zeroed on the boundary nodes, into g and the
+        nodal defect 1 - |w|^2 into `defect`."""
+        dx, dy, fx, fy, md = self._dx, self._dy, self._fx, self._fy, self._mq
+        np.subtract(w[:, 1:, :], w[:, :-1, :], out=dx)
+        np.subtract(w[:, :, 1:], w[:, :, :-1], out=dy)
+        np.multiply(dx, self.cx, out=fx)
+        np.multiply(dy, self.cy, out=fy)
+        grad_term = np.vdot(fx, dx) + np.vdot(fy, dy)
+        np.einsum("kij,kij->ij", w, w, out=defect)
+        np.subtract(1.0, defect, out=defect)
+        np.multiply(self.m, defect, out=md)
+        pot_term = np.vdot(md, defect)
+        np.multiply(w, md, out=g)
+        g *= -4.0
+        fx *= 2.0
+        fy *= 2.0
+        g[:, :-1, :] -= fx
+        g[:, 1:, :] += fx
+        g[:, :, :-1] -= fy
+        g[:, :, 1:] += fy
+        g[:, 0, :] = 0.0
+        g[:, -1, :] = 0.0
+        g[:, :, 0] = 0.0
+        g[:, :, -1] = 0.0
+        return float(grad_term + pot_term)
+
+    def quartic(
+        self, w: np.ndarray, defect: np.ndarray, d: np.ndarray
+    ) -> tuple[float, float, float]:
+        """c2, c3, c4 of E(w + t d) - E(w) = c1 t + c2 t^2 + c3 t^3 + c4 t^4,
+        with `defect` = 1 - |w|^2; c1 is g.d."""
+        dx, dy, fx, fy = self._dx, self._dy, self._fx, self._fy
+        p, q, mq = self._p, self._q, self._mq
+        np.subtract(d[:, 1:, :], d[:, :-1, :], out=dx)
+        np.subtract(d[:, :, 1:], d[:, :, :-1], out=dy)
+        np.multiply(dx, self.cx, out=fx)
+        np.multiply(dy, self.cy, out=fy)
+        c2 = np.vdot(fx, dx) + np.vdot(fy, dy)
+        np.einsum("kij,kij->ij", w, d, out=p)
+        np.einsum("kij,kij->ij", d, d, out=q)
+        np.multiply(self.m, q, out=mq)
+        c4 = np.vdot(mq, q)
+        c3 = 4.0 * np.vdot(mq, p)
+        c2 -= 2.0 * np.vdot(mq, defect)
+        np.multiply(self.m, p, out=q)
+        c2 += 4.0 * np.vdot(q, p)
+        return float(c2), float(c3), float(c4)
+
+
+def _quartic_step(
+    c1: float, c2: float, c3: float, c4: float
+) -> tuple[float, float]:
+    """The step t > 0 at the lowest critical point of
+    phi(t) = c1 t + c2 t^2 + c3 t^3 + c4 t^4, and phi(t).
+
+    With c1 < 0 < c4 the cubic phi' has a positive real root, and the
+    minimum of phi over t > 0 is at one of them; the real parts of a complex
+    pair are harmless extra candidates.  Non-finite coefficients give nan.
+    """
+    if not math.isfinite(c1 + c2 + c3 + c4):
+        return math.nan, math.nan
+    ts = np.roots((4.0 * c4, 3.0 * c3, 2.0 * c2, c1)).real
+    ts = ts[ts > 0.0]
+    phis = (((c4 * ts + c3) * ts + c2) * ts + c1) * ts
+    i = int(np.argmin(phis))
+    return float(ts[i]), float(phis[i])
 
 
 def minimize_gl(
@@ -464,79 +543,86 @@ def minimize_gl(
 ) -> MinimizationReport:
     """Descend the energy from `initial` with boundary nodes held fixed.
 
-    Nonlinear conjugate gradients (Polak-Ribiere with restarts) and a
-    backtracking line search that only ever accepts strict decreases, so
-    the reported energy trace is monotone by construction.  Terminates
-    when the relative decrease over `stall_window` iterations falls below
-    `stall_rtol`, on budget exhaustion (convergence flag false), or on
-    line-search failure (flag false — the usual cause is a grid too
-    coarse for the requested eps).
+    Nonlinear conjugate gradients (Polak-Ribiere with restarts) with an
+    exact line search: along a direction d the energy E(w + t d) is a
+    quartic in t, whose coefficients one pass over the grid gives, and the
+    step is the positive critical point of lowest value.  Each iteration
+    evaluates energy and gradient once, at the point that becomes the next
+    iterate.  A step is accepted only if it does not raise the energy, so
+    the reported energy trace is monotone by construction; a rejected
+    conjugate step is retried once along -g.
+
+    `stop_reason` says why the descent ended (`converged` is true for the
+    first three):
+    - `stalled`: the relative decrease over `stall_window` iterations fell
+      below `stall_rtol`;
+    - `rounding_floor`: a steepest-descent step was rejected while its
+      predicted decrease was within summation rounding of the energy;
+    - `zero_gradient`: the gradient vanished exactly;
+    - `budget`: `max_iterations` steps were taken;
+    - `line_search`: a steepest-descent step predicted to decrease the
+      energy raised it (in practice, non-finite values in the field).
     """
     grid = initial.grid
     if not isinstance(grid, CartesianGrid):
         raise ValueError("minimization requires a Cartesian grid")
-    a_ex, a_ey = _edge_coefficients(grid, params.coefficient, params.delta)
-    rx, ry = _edge_row_weights(grid)
-    node_w = _node_area_weights(grid)
-    inv_eps2 = 1.0 / params.epsilon**2
+    kernel = _DescentKernel(grid, params)
+    # summation rounding of an energy over this many nodes
+    floor_rtol = grid.node_shape[0] * grid.node_shape[1] * np.finfo(float).eps
 
-    interior = np.zeros(grid.node_shape, dtype=bool)
-    interior[1:-1, 1:-1] = True
-
-    w = initial.values.copy()
-    energy, g = _energy_and_gradient(
-        w, a_ex, a_ey, rx, ry, node_w, inv_eps2, True
-    )
-    g[~interior] = 0.0
-    direction = -g
+    w = np.moveaxis(initial.values, -1, 0).copy(order="C")
+    g = np.empty_like(w)
+    defect = np.empty(grid.node_shape)
+    w_new, g_new = np.empty_like(w), np.empty_like(w)
+    defect_new = np.empty_like(defect)
+    energy = kernel.energy_gradient(w, g, defect)
+    gg = float(np.vdot(g, g))
+    d = np.negative(g)
     trace = [energy]
-    converged = False
-    step = budget.initial_step
+    stop_reason = "budget"
 
     for _ in range(budget.max_iterations):
-        slope = float(np.sum(g * direction))
-        if slope >= 0.0:
-            direction = -g
-            slope = -float(np.sum(g * g))
-            if slope == 0.0:
-                converged = True
-                break
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        while step > 1e-18:
-            trial = w + step * direction
-            e_trial, _ = _energy_and_gradient(
-                trial, a_ex, a_ey, rx, ry, node_w, inv_eps2, False
-            )
-            if e_trial <= energy + budget.armijo_slope * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        slope = float(np.vdot(g, d))
+        steepest = slope >= 0.0
+        if steepest:
+            np.negative(g, out=d)
+            slope = -gg
+        if slope == 0.0:
+            stop_reason = "zero_gradient"
             break
-        w = w + step * direction
-        energy_new, g_new = _energy_and_gradient(
-            w, a_ex, a_ey, rx, ry, node_w, inv_eps2, True
-        )
-        g_new[~interior] = 0.0
-        beta = max(
-            0.0,
-            float(np.sum(g_new * (g_new - g))) / max(float(np.sum(g * g)), 1e-300),
-        )
-        direction = -g_new + beta * direction
-        g = g_new
-        energy = energy_new
+        while True:
+            t, predicted = _quartic_step(slope, *kernel.quartic(w, defect, d))
+            np.multiply(d, t, out=w_new)
+            w_new += w
+            energy_new = kernel.energy_gradient(w_new, g_new, defect_new)
+            if energy_new <= energy or steepest:
+                break
+            np.negative(g, out=d)
+            slope = -gg
+            steepest = True
+        if not energy_new <= energy:
+            floor = -predicted <= floor_rtol * abs(energy)
+            stop_reason = "rounding_floor" if floor else "line_search"
+            break
+        gg_new = float(np.vdot(g_new, g_new))
+        beta = max(0.0, (gg_new - float(np.vdot(g_new, g))) / gg)
+        w, w_new = w_new, w
+        g, g_new = g_new, g
+        defect, defect_new = defect_new, defect
+        d *= beta
+        d -= g
+        energy, gg = energy_new, gg_new
         trace.append(energy)
         win = budget.stall_window
         if len(trace) > win:
             drop = trace[-win - 1] - trace[-1]
             if drop < budget.stall_rtol * max(abs(trace[-1]), 1e-300):
-                converged = True
+                stop_reason = "stalled"
                 break
 
-    final = VectorField2D(grid, w, s1_valued=False)
+    final = VectorField2D(grid, np.moveaxis(w, 0, -1).copy(order="C"))
     breakdown = gl_energy(final, params)
     vortices = detect_vortices(final)
     return MinimizationReport(
-        final, breakdown, trace, vortices, converged, len(trace) - 1
+        final, breakdown, trace, vortices, stop_reason, len(trace) - 1
     )

@@ -64,7 +64,7 @@ def test_psi_with_explicit_tensor(tmp_path, capsys):
     assert cap["splitting"] == [1, 1]
 
 
-def test_minimize_writes_artifacts(tmp_path):
+def test_minimize_writes_artifacts(tmp_path, capsys):
     cfg = _config(tmp_path, {
         "coefficient": {"kind": "constant", "value": 1.0},
         "epsilon": 2.0**-4,
@@ -75,6 +75,8 @@ def test_minimize_writes_artifacts(tmp_path):
                      "--seed", "7"]) == 0
     report = json.load(open(tmp_path / "minimize.json", encoding="utf-8"))
     assert report["converged"] is True
+    assert report["stop_reason"] in ("stalled", "rounding_floor", "zero_gradient")
+    assert f"stop_reason={report['stop_reason']}" in capsys.readouterr().out
     assert report["final_energy"] < report["initial_energy"]
     assert len(report["vortices"]) == 1
     assert report["vortices"][0]["charge"] == 1
@@ -86,6 +88,24 @@ def test_minimize_writes_artifacts(tmp_path):
     back = VortexMeasure.from_csv(str(tmp_path / "vortices.csv"),
                                   Rectangle((0.0, 0.0), (1.0, 1.0)))
     assert len(back.atoms) == 1
+
+
+def test_minimize_bad_vortex_entry_exits_2(tmp_path, capsys):
+    cases = (
+        ({"x": 0.5, "charge": 1}, "missing key 'y'"),
+        ({"x": "a", "y": 0.5, "charge": 1}, "'x' at vortices[0] must be a number"),
+        ({"x": 0.5, "y": 0.5}, "missing key 'charge'"),
+    )
+    for entry, message in cases:
+        cfg = _config(tmp_path, {
+            "coefficient": {"kind": "constant", "value": 1.0},
+            "epsilon": 2.0**-4,
+            "vortices": [entry],
+        })
+        assert cli.main(["minimize", "--config", cfg,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
 
 def test_balls_csv_and_bad_family(tmp_path, capsys):

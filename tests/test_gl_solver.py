@@ -11,6 +11,7 @@ from vortexlab.vortex_analysis import Rectangle, VortexMeasure, detect_vortices
 from vortexlab.gl_solver import (
     GLParameters,
     MinimizeBudget,
+    _DescentKernel,
     core_radius_energy,
     default_grid,
     gl_energy,
@@ -191,6 +192,8 @@ def test_minimize_monotone_holds_boundary_and_keeps_vortex():
     v0 = recovery_field(mu, params)
     report = minimize_gl(v0, params, MinimizeBudget(max_iterations=800))
     assert report.converged
+    # energy differences reach rounding before the stall window can fire
+    assert report.stop_reason == "rounding_floor"
     assert report.energy.total < gl_energy(v0, params).total
     # strict descent at every accepted step
     assert all(b <= a for a, b in zip(report.trace, report.trace[1:]))
@@ -212,7 +215,8 @@ def test_minimize_budget_exhaustion_flags_not_converged():
     v0 = recovery_field(mu, params)
     report = minimize_gl(v0, params, MinimizeBudget(max_iterations=3))
     assert not report.converged
-    assert report.iterations <= 3
+    assert report.stop_reason == "budget"
+    assert report.iterations == 3
 
 
 def test_minimized_energy_obeys_two_sided_coefficient_bound():
@@ -228,3 +232,83 @@ def test_minimized_energy_obeys_two_sided_coefficient_bound():
     assert r1.energy.total == pytest.approx(22.665003, rel=1e-4)
     assert ra.energy.total == pytest.approx(41.123962, rel=1e-4)
     assert 1.0 * r1.energy.total <= ra.energy.total <= 4.0 * r1.energy.total
+
+
+def test_minimize_stops_at_zero_gradient_on_uniform_field():
+    params = _params(0.1, n=16)
+    w = np.zeros(params.grid.node_shape + (2,))
+    w[..., 0] = 1.0
+    report = minimize_gl(VectorField2D(params.grid, w), params)
+    assert report.stop_reason == "zero_gradient"
+    assert report.converged
+    assert report.iterations == 0
+
+
+def test_minimize_non_finite_start_is_a_line_search_failure():
+    params = _params(0.1, n=16)
+    w = np.zeros(params.grid.node_shape + (2,))
+    w[..., 0] = 1.0
+    w[8, 8, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        report = minimize_gl(VectorField2D(params.grid, w), params)
+    assert report.stop_reason == "line_search"
+    assert not report.converged
+
+
+def test_line_search_quartic_matches_energy_differences():
+    # E(w + t d) - E(w) through the public gl_energy, against the quartic
+    # whose coefficients the descent computes
+    eps = 2.0**-3
+    params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
+                     n=32)
+    v = recovery_field(VortexMeasure((((0.5, 0.5), 1),), UNIT), params)
+    rng = np.random.default_rng(8)
+    d = np.zeros_like(v.values)
+    d[1:-1, 1:-1] = 0.1 * rng.standard_normal(d[1:-1, 1:-1].shape)
+
+    kernel = _DescentKernel(params.grid, params)
+    w = np.moveaxis(v.values, -1, 0).copy(order="C")
+    g = np.empty_like(w)
+    defect = np.empty(params.grid.node_shape)
+    e0 = gl_energy(v, params).total
+    assert kernel.energy_gradient(w, g, defect) == pytest.approx(e0, rel=1e-13)
+    c1 = float(np.vdot(g, np.moveaxis(d, -1, 0)))
+    c2, c3, c4 = kernel.quartic(w, defect, np.moveaxis(d, -1, 0).copy(order="C"))
+    for t in (-0.5, 0.05, 0.3, 1.0, 2.0):
+        moved = VectorField2D(params.grid, v.values + t * d)
+        exact = gl_energy(moved, params).total - e0
+        assert c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4 == pytest.approx(
+            exact, rel=1e-10)
+
+
+def _checkerboard_recovery(k):
+    eps = 2.0**-k
+    params = GLParameters(eps, eps, coefficients.checkerboard(1.0, 4.0),
+                          default_grid(UNIT, eps))
+    mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)
+    return recovery_field(mu, params), params
+
+
+def test_stall_count_is_insensitive_to_rounding_noise_in_the_start():
+    v0, params = _checkerboard_recovery(5)
+    counts = []
+    for seed in (None, 1, 2, 3):
+        values = v0.values.copy()
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            values[1:-1, 1:-1] += 1e-10 * rng.standard_normal(
+                values[1:-1, 1:-1].shape)
+        report = minimize_gl(VectorField2D(params.grid, values), params)
+        assert report.stop_reason == "stalled"
+        counts.append(report.iterations)
+    assert max(counts) <= 1.02 * min(counts), counts
+
+
+def test_descent_iterations_are_mesh_independent():
+    counts = []
+    for k in (5, 6):
+        v0, params = _checkerboard_recovery(k)
+        report = minimize_gl(v0, params)
+        assert report.converged
+        counts.append(report.iterations)
+    assert max(counts) <= 2 * min(counts), counts

@@ -36,7 +36,11 @@ __all__ = [
     "solve_corrector",
     "homogenized_tensor",
     "refine_tensor",
+    "MIN_RESOLUTION",
 ]
+
+#: smallest cell grid side that `solve_corrector` accepts
+MIN_RESOLUTION = 16
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,8 @@ def solve_corrector(
     returned energy is the quadratic form at the minimizer, i.e. the value
     <A_hom xi, xi> up to discretization error.
     """
-    if n < 16:
-        raise ValueError(f"cell grid must have n >= 16, got {n}")
+    if n < MIN_RESOLUTION:
+        raise ValueError(f"cell grid must have n >= {MIN_RESOLUTION}, got {n}")
     h = 1.0 / n
     wx, wy = _face_weights(coeff, n)
     gx = h * float(xi[0])

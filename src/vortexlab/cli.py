@@ -19,10 +19,21 @@ from typing import Any, Optional
 import numpy as np
 
 from .ball_construction import WeightedBall, evolve
-from .cell_problem import homogenized_tensor, refine_tensor
+from .cell_problem import (
+    MIN_RESOLUTION,
+    HomogenizedTensor,
+    homogenized_tensor,
+    refine_tensor,
+)
 from .experiments import (
     ConfigError,
     _atoms_from_spec,
+    _domain_from_spec,
+    _integer_at_least,
+    _is_integer,
+    _is_number,
+    _number,
+    _require_keys,
     coefficient_from_spec,
     emit_report,
     parse_config,
@@ -36,9 +47,9 @@ from .gl_solver import (
     minimize_gl,
     recovery_field,
 )
-from .singularity_cost import capital_psi, psi_of_z
+from .singularity_cost import _MIN_CELLS_PER_PERIOD, capital_psi, psi_of_z
 from .solvers import SolverError
-from .vortex_analysis import Rectangle, VortexMeasure, flat_distance
+from .vortex_analysis import VortexMeasure, flat_distance
 
 __all__ = ["main"]
 
@@ -70,19 +81,26 @@ def _write_json(payload: Any, out_dir: str, name: str) -> str:
     return path
 
 
-def _domain_from(data: dict) -> Rectangle:
-    if "domain" in data:
-        dom = data["domain"]
-        return Rectangle(tuple(dom["origin"]), tuple(dom["extent"]))
-    return Rectangle((0.0, 0.0), (1.0, 1.0))
-
-
 def _cmd_cell(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    coeff = coefficient_from_spec(data.get("coefficient"))
+    _require_keys(data, {"coefficient", "resolution", "resolutions"},
+                  {"coefficient"}, "top level")
+    coeff = coefficient_from_spec(data["coefficient"])
     payload: dict[str, Any]
     if "resolutions" in data:
-        resolutions = [int(n) for n in data["resolutions"]]
+        if "resolution" in data:
+            raise ConfigError("set 'resolution' or 'resolutions', not both")
+        resolutions = data["resolutions"]
+        if not (
+            isinstance(resolutions, list) and len(resolutions) >= 2
+            and all(_is_integer(n) for n in resolutions)
+            and resolutions[0] >= MIN_RESOLUTION
+            and all(b > a for a, b in zip(resolutions, resolutions[1:]))
+        ):
+            raise ConfigError(
+                "'resolutions' must be two or more increasing integers "
+                f">= {MIN_RESOLUTION}, got {resolutions!r}"
+            )
         refinement = refine_tensor(coeff, resolutions)
         payload = {
             "tensor": refinement.tensor.to_json_dict(),
@@ -92,7 +110,8 @@ def _cmd_cell(args: argparse.Namespace) -> int:
         }
         tensor = refinement.tensor
     else:
-        n = int(data.get("resolution", 256))
+        n = _integer_at_least(data.get("resolution", 256), MIN_RESOLUTION,
+                              "'resolution'")
         tensor = homogenized_tensor(coeff, n=n)
         payload = {"tensor": tensor.to_json_dict()}
     path = _write_json(payload, args.out, "tensor.json")
@@ -103,39 +122,79 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     return 0
 
 
+_PSI_COMMON_KEYS = {"z_values", "ratios", "fixed_trace"}
+#: mode -> (allowed, required) keys besides the common ones
+_PSI_MODE_KEYS = {
+    "oscillating": ({"delta", "coefficient", "cells_per_period"},
+                    {"delta", "coefficient"}),
+    "tensor": ({"tensor", "n_theta"}, {"tensor"}),
+    "homogenized": ({"coefficient", "tensor_resolution", "n_theta"},
+                    {"coefficient"}),
+}
+
+
+def _tensor_from_spec(spec: Any, where: str = "tensor") -> HomogenizedTensor:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object")
+    _require_keys(spec, {"a11", "a12", "a22"}, {"a11", "a22"}, where)
+    a12 = _number(spec, "a12", where) if "a12" in spec else 0.0
+    tensor = HomogenizedTensor(
+        _number(spec, "a11", where), a12, _number(spec, "a22", where), 0, 0.0
+    )
+    if not (tensor.a11 > 0.0 and tensor.det > 0.0):
+        raise ConfigError(f"{where} must be positive definite")
+    return tensor
+
+
 def _cmd_psi(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    z_values = [int(z) for z in data.get("z_values", [1])]
-    if any(z == 0 for z in z_values):
-        raise ConfigError("'z_values' must be nonzero integers")
-    ratios = [float(r) for r in data.get("ratios", [10.0, 30.0, 100.0])]
-    fixed_trace = bool(data.get("fixed_trace", False))
-    n_theta = int(data.get("n_theta", 256))
-    delta = data.get("delta")
-
-    kwargs: dict[str, Any] = {"fixed_trace": fixed_trace, "n_theta": n_theta}
-    if delta is not None:
-        if "coefficient" not in data:
-            raise ConfigError("oscillating mode ('delta' set) needs 'coefficient'")
-        kwargs["coefficient"] = coefficient_from_spec(data["coefficient"])
-        kwargs["delta"] = float(delta)
-        if "cells_per_period" in data:
-            kwargs["cells_per_period"] = float(data["cells_per_period"])
+    if "delta" in data:
+        mode = "oscillating"
     elif "tensor" in data:
-        spec = data["tensor"]
-        from .cell_problem import HomogenizedTensor
-
-        kwargs["tensor"] = HomogenizedTensor(
-            float(spec["a11"]), float(spec.get("a12", 0.0)), float(spec["a22"]),
-            0, 0.0,
-        )
-    elif "coefficient" in data:
-        coeff = coefficient_from_spec(data["coefficient"])
-        kwargs["tensor"] = homogenized_tensor(
-            coeff, n=int(data.get("tensor_resolution", 256))
-        )
+        mode = "tensor"
     else:
-        raise ConfigError("need 'delta'+'coefficient', 'tensor', or 'coefficient'")
+        mode = "homogenized"
+    allowed, required = _PSI_MODE_KEYS[mode]
+    _require_keys(data, _PSI_COMMON_KEYS | allowed, required,
+                  f"top level ({mode} mode)")
+    z_values = data.get("z_values", [1])
+    if not (isinstance(z_values, list) and z_values
+            and all(_is_integer(z) and z != 0 for z in z_values)):
+        raise ConfigError("'z_values' must be a nonempty list of nonzero integers")
+    ratios = data.get("ratios", [10.0, 30.0, 100.0])
+    if not (
+        isinstance(ratios, list) and len(ratios) >= 3
+        and all(_is_number(r) for r in ratios) and ratios[0] > 1.0
+        and all(b > a for a, b in zip(ratios, ratios[1:]))
+    ):
+        raise ConfigError("'ratios' must be three or more increasing numbers > 1")
+    fixed_trace = data.get("fixed_trace", False)
+    if not isinstance(fixed_trace, bool):
+        raise ConfigError("'fixed_trace' must be true or false")
+
+    kwargs: dict[str, Any] = {"fixed_trace": fixed_trace}
+    if mode == "oscillating":
+        kwargs["coefficient"] = coefficient_from_spec(data["coefficient"])
+        kwargs["delta"] = _number(data, "delta", "top level")
+        if kwargs["delta"] <= 0.0:
+            raise ConfigError("'delta' must be positive")
+        if "cells_per_period" in data:
+            cells = _number(data, "cells_per_period", "top level")
+            if cells < _MIN_CELLS_PER_PERIOD:
+                raise ConfigError(
+                    f"'cells_per_period' must be >= {_MIN_CELLS_PER_PERIOD:g}"
+                )
+            kwargs["cells_per_period"] = cells
+    else:
+        kwargs["n_theta"] = _integer_at_least(data.get("n_theta", 256), 16,
+                                              "'n_theta'")
+        if mode == "tensor":
+            kwargs["tensor"] = _tensor_from_spec(data["tensor"])
+        else:
+            n = _integer_at_least(data.get("tensor_resolution", 256),
+                                  MIN_RESOLUTION, "'tensor_resolution'")
+            kwargs["tensor"] = homogenized_tensor(
+                coefficient_from_spec(data["coefficient"]), n=n)
 
     estimates = {}
     for k in sorted({abs(z) for z in z_values}):
@@ -170,7 +229,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     coeff = coefficient_from_spec(data.get("coefficient"))
     epsilon = float(data.get("epsilon", 2.0**-6))
     delta = float(data.get("delta", epsilon))
-    domain = _domain_from(data)
+    domain = _domain_from_spec(data.get("domain"))
     mu = VortexMeasure(_atoms_from_spec(data.get("vortices"), "vortices"), domain)
     grid = default_grid(domain, epsilon, int(data.get("cells_per_epsilon", 4)))
     params = GLParameters(epsilon, delta, coeff, grid)
@@ -262,9 +321,9 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_flat(args: argparse.Namespace) -> int:
-    domain = Rectangle((0.0, 0.0), (1.0, 1.0))
-    if args.config:
-        domain = _domain_from(_load_json(args.config))
+    data = _load_json(args.config) if args.config else {}
+    _require_keys(data, {"domain"}, set(), "top level")
+    domain = _domain_from_spec(data.get("domain"))
     try:
         mu1 = VortexMeasure.from_csv(args.first, domain)
         mu2 = VortexMeasure.from_csv(args.second, domain)

@@ -30,7 +30,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .cell_problem import HomogenizedTensor, homogenized_tensor
+from .cell_problem import MIN_RESOLUTION, HomogenizedTensor, homogenized_tensor
 from .coefficients import (
     PeriodicCoefficient,
     checkerboard,
@@ -165,9 +165,24 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
             raise ConfigError(f"missing key '{key}' at {where}")
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer_at_least(value: Any, minimum: int, what: str) -> int:
+    """`value` when it is an integer >= minimum, else ConfigError about `what`."""
+    if not _is_integer(value) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"'{key}' at {where} must be a number, got {value!r}")
     return float(value)
 
@@ -226,7 +241,7 @@ def _atoms_from_spec(spec: Any, where: str) -> tuple:
             raise ConfigError(f"{sub} must be an object")
         _require_keys(entry, {"x", "y", "charge"}, {"x", "y", "charge"}, sub)
         charge = entry["charge"]
-        if isinstance(charge, bool) or not isinstance(charge, int) or charge == 0:
+        if not _is_integer(charge) or charge == 0:
             raise ConfigError(f"'charge' at {sub} must be a nonzero integer")
         atoms.append(
             ((_number(entry, "x", sub), _number(entry, "y", sub)), charge)
@@ -234,20 +249,38 @@ def _atoms_from_spec(spec: Any, where: str) -> tuple:
     return tuple(atoms)
 
 
+def _domain_from_spec(spec: Any, where: str = "domain") -> Rectangle:
+    """The rectangle {origin, extent}; the unit square when `spec` is None."""
+    if spec is None:
+        return Rectangle((0.0, 0.0), (1.0, 1.0))
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object")
+    _require_keys(spec, {"origin", "extent"}, {"origin", "extent"}, where)
+    corners = []
+    for key in ("origin", "extent"):
+        value = spec[key]
+        if not (isinstance(value, list) and len(value) == 2
+                and all(_is_number(v) for v in value)):
+            raise ConfigError(f"'{key}' at {where} must be a list of two numbers")
+        corners.append((float(value[0]), float(value[1])))
+    try:
+        return Rectangle(*corners)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _epsilons_from_spec(spec: Any, where: str) -> tuple[float, ...]:
     if isinstance(spec, dict):
         _require_keys(spec, {"k_min", "k_max"}, {"k_min", "k_max"}, where)
-        k_min, k_max = spec["k_min"], spec["k_max"]
-        for name, k in (("k_min", k_min), ("k_max", k_max)):
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                raise ConfigError(f"'{name}' at {where} must be an integer >= 1")
+        k_min, k_max = (_integer_at_least(spec[name], 1, f"'{name}' at {where}")
+                        for name in ("k_min", "k_max"))
         if k_min > k_max:
             raise ConfigError(f"k_min > k_max at {where}")
         return tuple(2.0**-k for k in range(k_min, k_max + 1))
     if isinstance(spec, list) and spec:
         eps = []
         for i, value in enumerate(spec):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{where}[{i}] must be a number")
             value = float(value)
             if not (0.0 < value < 1.0):
@@ -315,12 +348,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
     coeff = coefficient_from_spec(data["coefficient"])
     atoms = _atoms_from_spec(data["vortices"], "vortices")
-    if "domain" in data:
-        dom = data["domain"]
-        _require_keys(dom, {"origin", "extent"}, {"origin", "extent"}, "domain")
-        domain = Rectangle(tuple(dom["origin"]), tuple(dom["extent"]))
-    else:
-        domain = Rectangle((0.0, 0.0), (1.0, 1.0))
+    domain = _domain_from_spec(data.get("domain"))
     regime, parameter = _regime_from_spec(data["regime"], "regime")
     epsilons = _epsilons_from_spec(data["epsilons"], "epsilons")
 
@@ -337,22 +365,15 @@ def parse_config(path: str) -> ExperimentConfig:
         set(),
         "solver",
     )
-    cells = solver.get("cells_per_epsilon", 4)
-    if isinstance(cells, bool) or not isinstance(cells, int) or cells < 4:
-        raise ConfigError("'cells_per_epsilon' at solver must be an integer >= 4")
-    tensor_n = solver.get("tensor_resolution", 256)
-    if isinstance(tensor_n, bool) or not isinstance(tensor_n, int) or tensor_n < 16:
-        raise ConfigError("'tensor_resolution' at solver must be an integer >= 16")
+    cells = _integer_at_least(solver.get("cells_per_epsilon", 4), 4,
+                              "'cells_per_epsilon' at solver")
+    tensor_n = _integer_at_least(solver.get("tensor_resolution", 256),
+                                 MIN_RESOLUTION, "'tensor_resolution' at solver")
     rtol = float(solver.get("rtol", 1e-8))
     if not (0 < rtol < 1):
         raise ConfigError("'rtol' at solver must lie in (0,1)")
-    max_iterations = solver.get("max_iterations", 2000)
-    if (
-        isinstance(max_iterations, bool)
-        or not isinstance(max_iterations, int)
-        or max_iterations < 1
-    ):
-        raise ConfigError("'max_iterations' at solver must be a positive integer")
+    max_iterations = _integer_at_least(solver.get("max_iterations", 2000), 1,
+                                       "'max_iterations' at solver")
 
     config = ExperimentConfig(
         coefficient=coeff,
@@ -407,6 +428,7 @@ def _measure_one(
     predicted = predicted_gamma_limit(config.coefficient, tensor, lam, mu)
     log_eps = abs(math.log(epsilon))
     relocate = config.regime in ("power_law", "log_slow")
+    flag = ""
     try:
         if config.channel == "core_radius":
             placeholder = CartesianGrid(config.domain.origin, config.domain.extent, (4, 4))
@@ -434,6 +456,8 @@ def _measure_one(
                     v, params, MinimizeBudget(max_iterations=config.max_iterations)
                 )
                 energy = report.energy.total
+                if not report.converged:
+                    flag = f"stop_reason={report.stop_reason}"
             else:
                 energy = gl_energy(v, params).total
     except (SolverError, ValueError) as exc:
@@ -444,7 +468,7 @@ def _measure_one(
     per_log = energy / log_eps
     return ScalingRow(
         epsilon, delta, lam, energy, per_log, predicted,
-        (per_log - predicted) / predicted,
+        (per_log - predicted) / predicted, flag=flag,
     )
 
 

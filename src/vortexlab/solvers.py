@@ -1,10 +1,11 @@
 """Matrix-free preconditioned conjugate gradients on structured grids.
 
-Every elliptic solve in the package is a five-point operator on a
-rectangular index grid (periodic, reflective, or masked boundaries), so a
-single CG driver plus a family of spectral preconditioners covers all of
-them.  The preconditioners invert the constant-coefficient analogue of the
-operator with the transform that diagonalizes it:
+Every elliptic solve in the package is a five-point finite-volume operator
+or a bilinear (Q1) finite-element one on a rectangular index grid
+(periodic, reflective, pinned or masked boundaries), so a single CG routine
+plus a family of spectral preconditioners covers all of them.  The
+preconditioners invert the constant-coefficient analogue of the operator
+with the transform that diagonalizes it:
 
   * periodic x periodic       -> 2-d FFT
   * reflective x periodic     -> DCT-II along the reflective axis, FFT
@@ -12,6 +13,10 @@ operator with the transform that diagonalizes it:
   * reflective x reflective   -> 2-d DCT-II (also used for masked grids,
                                  where it preconditions the zero-filled
                                  extension)
+  * Q1 nodes, free x periodic -> DCT-I along the free axis (end rows
+                                 doubled), FFT along the periodic one
+  * Q1 nodes, pinned x periodic -> DST-I on the interior nodes, FFT along
+                                 the periodic one
 
 All transforms are unitary up to diagonal scalings that commute with the
 eigenvalue division, so each preconditioner is symmetric positive definite
@@ -41,6 +46,7 @@ __all__ = [
     "periodic_fft_preconditioner",
     "mixed_dct_fft_preconditioner",
     "dct2_preconditioner",
+    "q1_node_preconditioner",
 ]
 
 
@@ -245,5 +251,59 @@ def dct2_preconditioner(
             w -= w.sum() / nact
             w *= restrict
         return w
+
+    return apply
+
+
+def q1_node_preconditioner(
+    shape: tuple[int, int], h0: float, h1: float, scale: float,
+    *, pinned: bool = False,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse of scale * (Q1 stiffness) on a node grid of spacings
+    (h0, h1), periodic along axis 1.
+
+    The stiffness is the tensor product K0 (x) M1 + M0 (x) K1 of the 1-d
+    linear-element stiffness K and mass M matrices.  The periodic factors
+    are circulant: FFT eigenvalues k = (2 - 2 cos w) / h and
+    m = h (2 + cos w) / 3 with w = 2 pi q / n.  Along axis 0 the same
+    formulas hold with w = pi p / (n0 - 1):
+
+      * free ends (`pinned` False, `shape` counts every node): K0 and M0
+        carry half-weight end rows; doubling those rows makes both
+        diagonal in DCT-I.  The constant mode is projected out, so the
+        result inverts the operator on mean-zero data.
+      * pinned ends (`pinned` True, `shape` counts the interior nodes
+        only, w = pi p / (n0 + 1), p = 1..n0): DST-I.  The operator is
+        definite and nothing is projected.
+    """
+    n0, n1 = shape
+    if pinned:
+        w0 = np.pi * np.arange(1, n0 + 1) / (n0 + 1)
+    else:
+        w0 = np.pi * np.arange(n0) / (n0 - 1)
+    w1 = 2.0 * np.pi * np.arange(n1 // 2 + 1) / n1
+    k0, m0 = (2.0 - 2.0 * np.cos(w0)) / h0, h0 * (2.0 + np.cos(w0)) / 3.0
+    k1, m1 = (2.0 - 2.0 * np.cos(w1)) / h1, h1 * (2.0 + np.cos(w1)) / 3.0
+    ell = scale * (k0[:, None] * m1[None, :] + m0[:, None] * k1[None, :])
+    if not pinned:
+        ell[0, 0] = 1.0
+        ends = np.ones((n0, 1))
+        ends[0] = ends[-1] = 2.0
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        workers = _workers(r)
+        if pinned:
+            w = sfft.dst(r, type=1, axis=0, workers=workers)
+        else:
+            w = sfft.dct(r * ends, type=1, axis=0, overwrite_x=True,
+                         workers=workers)
+        w = sfft.rfft(w, axis=1, workers=workers)
+        w /= ell
+        if not pinned:
+            w[0, 0] = 0.0
+        w = sfft.irfft(w, n=n1, axis=1, overwrite_x=True, workers=workers)
+        if pinned:
+            return sfft.idst(w, type=1, axis=0, overwrite_x=True, workers=workers)
+        return sfft.idct(w, type=1, axis=0, overwrite_x=True, workers=workers)
 
     return apply

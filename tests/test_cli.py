@@ -64,6 +64,78 @@ def test_psi_with_explicit_tensor(tmp_path, capsys):
     assert cap["splitting"] == [1, 1]
 
 
+def test_psi_bad_keys_exit_2(tmp_path, capsys):
+    cases = (
+        ({"z_value": [1], "tensor": {"a11": 1.0, "a22": 1.0}},
+         "unknown key 'z_value' at top level"),
+        ({"tensor": {"a11": 1.0}}, "missing key 'a22' at tensor"),
+        ({"tensor": {"a11": 1.0, "a22": 1.0, "a21": 0.0}},
+         "unknown key 'a21' at tensor"),
+        ({"tensor": {"a11": "1", "a22": 1.0}}, "'a11' at tensor must be a number"),
+        ({"tensor": {"a11": 1.0, "a12": 2.0, "a22": 1.0}}, "positive definite"),
+        ({"tensor": {"a11": 1.0, "a22": 1.0}, "z_values": [0]}, "nonzero integers"),
+        ({"tensor": {"a11": 1.0, "a22": 1.0}, "ratios": [10.0, 5.0, 20.0]},
+         "increasing numbers"),
+        # keys of another mode are not silently ignored
+        ({"tensor": {"a11": 1.0, "a22": 1.0}, "cells_per_period": 8},
+         "unknown key 'cells_per_period' at top level (tensor mode)"),
+        ({"delta": 0.1, "coefficient": {"kind": "constant", "value": 1.0},
+          "n_theta": 64}, "unknown key 'n_theta' at top level (oscillating mode)"),
+        ({"delta": 0.1}, "missing key 'coefficient'"),
+        ({"z_values": [1]}, "missing key 'coefficient'"),
+    )
+    for payload, message in cases:
+        cfg = _config(tmp_path, payload)
+        assert cli.main(["psi", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert "Traceback" not in err
+
+
+def test_cell_too_small_resolution_exits_2(tmp_path, capsys):
+    coeff = {"kind": "constant", "value": 1.0}
+    cases = (
+        ({"coefficient": coeff, "resolution": 8}, "'resolution' must be"),
+        ({"coefficient": coeff, "resolution": 32.0}, "'resolution' must be"),
+        ({"coefficient": coeff, "resolutions": [8, 16, 32]}, "'resolutions' must"),
+        ({"coefficient": coeff, "resolutions": [32, 16]}, "'resolutions' must"),
+        ({"coefficient": coeff, "resolution": 32, "resolutions": [16, 32]},
+         "not both"),
+        ({"coefficient": coeff, "resolutoin": 32}, "unknown key 'resolutoin'"),
+    )
+    for payload, message in cases:
+        cfg = _config(tmp_path, payload)
+        assert cli.main(["cell", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+
+def test_bad_domain_exits_2(tmp_path, capsys):
+    base = {
+        "coefficient": {"kind": "constant", "value": 1.0},
+        "epsilon": 2.0**-4,
+        "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+    }
+    cases = (
+        ({"origin": [0, 0]}, "missing key 'extent' at domain"),
+        ({"origin": [0, 0], "extent": [1]}, "'extent' at domain must be a list"),
+        ({"origin": [0, 0], "extent": [1, -1]}, "extent must be positive"),
+    )
+    for domain, message in cases:
+        cfg = _config(tmp_path, {**base, "domain": domain})
+        assert cli.main(["minimize", "--config", cfg,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+    # flat reads its domain through the same check
+    dom = Rectangle((0.0, 0.0), (1.0, 1.0))
+    VortexMeasure((((0.5, 0.5), 1),), dom).to_csv(str(tmp_path / "a.csv"))
+    cfg = _config(tmp_path, {"domain": {"origin": [0, 0]}}, name="flat.json")
+    assert cli.main(["flat", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"),
+                     "--config", cfg]) == 2
+    assert "missing key 'extent' at domain" in capsys.readouterr().err
+
+
 def test_minimize_writes_artifacts(tmp_path, capsys):
     cfg = _config(tmp_path, {
         "coefficient": {"kind": "constant", "value": 1.0},

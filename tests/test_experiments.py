@@ -182,6 +182,23 @@ def test_flagged_rows_survive_and_study_continues(tmp_path):
     assert result.summary["rows_flagged"] == 2
 
 
+def test_non_converged_descents_are_flagged(tmp_path):
+    # a 3-iteration budget stops both descents on `budget`
+    path = _minimal(tmp_path, coefficient={"kind": "constant", "value": 1.0},
+                    channel="gl_minimize", solver={"max_iterations": 3})
+    result = run_scaling_study(parse_config(path))
+    assert result.summary["rows_flagged"] == 2
+    for row in result.rows:
+        assert row.flag == "stop_reason=budget"
+        assert math.isfinite(row.energy)
+    assert result.summary["trend_slope"] is None
+    # with the default budget the coarsest descent converges and is clean
+    path = _minimal(tmp_path, coefficient={"kind": "constant", "value": 1.0},
+                    channel="gl_minimize", epsilons={"k_min": 4, "k_max": 4})
+    (row,) = run_scaling_study(parse_config(path)).rows
+    assert row.flag == ""
+
+
 def test_threads_do_not_change_results(tmp_path):
     path = _minimal(tmp_path, solver={"tensor_resolution": 32},
                     epsilons={"k_min": 4, "k_max": 6})

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from vortexlab import coefficients
+from vortexlab import coefficients, singularity_cost
 from vortexlab.cell_problem import HomogenizedTensor
 from vortexlab.fields import PolarGrid
+from vortexlab.solvers import SolverError
 from vortexlab.vortex_analysis import Rectangle, VortexMeasure
 from vortexlab.singularity_cost import (
     AnnulusProblem,
@@ -101,6 +103,91 @@ def test_psi_json_round_trip():
     assert len(d["schedule"]) == 3
     assert d["schedule"][0]["delta"] is None
     assert d["value"] == pytest.approx(est.value)
+
+
+# -- the preconditioned CG solve against the sparse direct one -----------------------
+
+
+def _spsolve_energy(problem):
+    """Reference homogenized minimum: the sparse direct solve the CG one
+    replaced, on the same assembled system."""
+    k_mat, f_vec, const = singularity_cost._q1_system(problem)
+    n_dof = k_mat.shape[0]
+    nt = problem.grid.n_theta
+    # fixed trace: interior nodes only; free: pin one node, then re-center
+    keep = (np.arange(nt, n_dof - nt) if problem.fixed_trace
+            else np.arange(1, n_dof))
+    phi = np.zeros(n_dof)
+    phi[keep] = spla.spsolve(k_mat[keep][:, keep].tocsc(), -f_vec[keep])
+    if not problem.fixed_trace:
+        phi -= phi.mean()
+    return float(phi @ (k_mat @ phi) + 2.0 * (f_vec @ phi) + const)
+
+
+def _counting_pcg(monkeypatch):
+    """Record the SolveInfo of every pcg call made by singularity_cost."""
+    infos = []
+    real = singularity_cost.pcg
+
+    def recording(*args, **kwargs):
+        x, info = real(*args, **kwargs)
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(singularity_cost, "pcg", recording)
+    return infos
+
+
+LAMINATE = HomogenizedTensor(2.5, 0.0, 1.6, 0, 0.0)  # laminate(1, 4) normal to e2
+
+
+@pytest.mark.parametrize("tensor", [
+    IDENTITY,
+    HomogenizedTensor(1.0, 0.0, 4.0, 0, 0.0),
+    HomogenizedTensor(1.0, 0.3, 4.0, 0, 0.0),
+    LAMINATE,
+], ids=["identity", "diag-1-4", "full-1-0.3-4", "laminate"])
+@pytest.mark.parametrize("fixed_trace", [False, True], ids=["free", "fixed"])
+def test_cg_solve_matches_sparse_direct(tensor, fixed_trace):
+    for ratio, n_r in ((4.0, 25), (30.0, 49)):
+        grid = PolarGrid((0.0, 0.0), 1.0, ratio, n_r, 32)
+        for z in (1, 2):
+            problem = AnnulusProblem(grid, z, tensor=tensor,
+                                     fixed_trace=fixed_trace)
+            energy, _ = min_annulus_energy(problem)
+            assert energy == pytest.approx(_spsolve_energy(problem),
+                                           rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("fixed_trace", [False, True], ids=["free", "fixed"])
+def test_isotropic_annulus_takes_one_cg_iteration(monkeypatch, fixed_trace):
+    # the preconditioner is the exact inverse of the isotropic operator
+    infos = _counting_pcg(monkeypatch)
+    tensor = HomogenizedTensor(2.0, 0.0, 2.0, 0, 0.0)
+    grid = PolarGrid((0.0, 0.0), 1.0, 30.0, 164, 64)
+    for z in (1, 2):
+        energy, lifting = min_annulus_energy(
+            AnnulusProblem(grid, z, tensor=tensor, fixed_trace=fixed_trace))
+        assert energy == pytest.approx(4.0 * math.pi * z * z * math.log(30.0),
+                                       rel=1e-12)
+    assert [info.iterations for info in infos] == [1, 1]
+    # an anisotropic tensor still converges, in a few dozen iterations
+    min_annulus_energy(AnnulusProblem(
+        grid, 1, tensor=HomogenizedTensor(1.0, 0.3, 4.0, 0, 0.0),
+        fixed_trace=fixed_trace))
+    assert 1 < infos[-1].iterations <= 40
+
+
+def test_homogenized_stall_is_wrapped(monkeypatch):
+    def stall(*args, **kwargs):
+        raise SolverError("budget", residual=0.5, iterations=7)
+
+    monkeypatch.setattr(singularity_cost, "pcg", stall)
+    grid = PolarGrid((0.0, 0.0), 1.0, 4.0, 25, 32)
+    with pytest.raises(SolverError, match="annulus solve stalled") as err:
+        min_annulus_energy(AnnulusProblem(grid, 1, tensor=IDENTITY))
+    assert err.value.iterations == 7
+    assert err.value.residual == 0.5
 
 
 # -- oscillating mode ----------------------------------------------------------------

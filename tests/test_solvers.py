@@ -12,6 +12,7 @@ from vortexlab.solvers import (
     mixed_dct_fft_preconditioner,
     pcg,
     periodic_fft_preconditioner,
+    q1_node_preconditioner,
 )
 from vortexlab.vortex_analysis import Rectangle, VortexMeasure
 
@@ -124,6 +125,43 @@ def test_mixed_preconditioner_zero_mode_eigenvalue():
     # default behavior projects constants out entirely
     pre0 = mixed_dct_fft_preconditioner((8, 8), 1.0, 1.0)
     assert np.allclose(pre0(np.ones((8, 8))), 0.0, atol=1e-12)
+
+
+def _linear_element_matrices(n, h, periodic):
+    """1-d linear-element stiffness and mass on n nodes of spacing h."""
+    k = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+    m = h * (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
+    if periodic:
+        k[0, -1] = k[-1, 0] = -1.0 / h
+        m[0, -1] = m[-1, 0] = h / 6.0
+    else:  # free ends: half-weight end rows
+        k[0, 0] = k[-1, -1] = 1.0 / h
+        m[0, 0] = m[-1, -1] = h / 3.0
+    return k, m
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_q1_node_preconditioner_is_exact_inverse(pinned):
+    n0, n1, h0, h1, scale = 11, 16, 0.3, 0.4, 1.7
+    k1, m1 = _linear_element_matrices(n1, h1, periodic=True)
+    if pinned:  # interior nodes of an n0 + 2 node line with both ends at 0
+        k0, m0 = _linear_element_matrices(n0 + 2, h0, periodic=False)
+        k0, m0 = k0[1:-1, 1:-1], m0[1:-1, 1:-1]
+    else:
+        k0, m0 = _linear_element_matrices(n0, h0, periodic=False)
+    op = scale * (np.kron(k0, m1) + np.kron(m0, k1))
+    rng = np.random.default_rng(12)
+    r = rng.standard_normal((n0, n1))
+    if not pinned:
+        r -= r.mean()
+    pre = q1_node_preconditioner((n0, n1), h0, h1, scale, pinned=pinned)
+    back = (op @ pre(r).ravel()).reshape(n0, n1)
+    assert np.allclose(back, r, atol=1e-12)
+    # symmetric, as CG needs
+    v = rng.standard_normal((n0, n1))
+    if not pinned:
+        v -= v.mean()
+    assert np.vdot(v, pre(r)) == pytest.approx(np.vdot(r, pre(v)), rel=1e-12)
 
 
 def test_masked_dct2_preconditioner_symmetry():
@@ -272,6 +310,8 @@ def test_transform_threads_do_not_change_preconditioners(monkeypatch):
         mixed_dct_fft_preconditioner(shape, 1.3, 0.6, zero_mode_eigenvalue=0.2),
         dct2_preconditioner(shape, 1.7),
         dct2_preconditioner(shape, 1.7, restrict=mask),
+        q1_node_preconditioner(shape, 0.02, 0.03, 1.1),
+        q1_node_preconditioner(shape, 0.02, 0.03, 1.1, pinned=True),
     ]
     r = rng.standard_normal(shape)
     keep = r.copy()

@@ -33,6 +33,7 @@ from .experiments import (
     _is_integer,
     _is_number,
     _number,
+    _positive,
     _require_keys,
     coefficient_from_spec,
     emit_report,
@@ -175,9 +176,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     kwargs: dict[str, Any] = {"fixed_trace": fixed_trace}
     if mode == "oscillating":
         kwargs["coefficient"] = coefficient_from_spec(data["coefficient"])
-        kwargs["delta"] = _number(data, "delta", "top level")
-        if kwargs["delta"] <= 0.0:
-            raise ConfigError("'delta' must be positive")
+        kwargs["delta"] = _positive(data, "delta", "top level")
         if "cells_per_period" in data:
             cells = _number(data, "cells_per_period", "top level")
             if cells < _MIN_CELLS_PER_PERIOD:
@@ -224,27 +223,45 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     return 0
 
 
+_MINIMIZE_KEYS = {
+    "coefficient", "epsilon", "delta", "domain", "vortices",
+    "cells_per_epsilon", "s", "eta", "relocate", "max_iterations",
+}
+
+
 def _cmd_minimize(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    coeff = coefficient_from_spec(data.get("coefficient"))
-    epsilon = float(data.get("epsilon", 2.0**-6))
-    delta = float(data.get("delta", epsilon))
+    _require_keys(data, _MINIMIZE_KEYS, {"coefficient", "vortices"}, "top level")
+    coeff = coefficient_from_spec(data["coefficient"])
+    epsilon = _positive(data, "epsilon", "top level", 2.0**-6)
+    delta = _positive(data, "delta", "top level", epsilon)
+    cells = _integer_at_least(data.get("cells_per_epsilon", 4), 4,
+                              "'cells_per_epsilon'")
+    s = _number(data, "s", "top level") if "s" in data else None
+    if s is not None and not 0.0 < s < 1.0:
+        raise ConfigError(f"'s' must lie in (0,1), got {s!r}")
+    eta = _number(data, "eta", "top level") if "eta" in data else None
+    relocate = data.get("relocate", False)
+    if not isinstance(relocate, bool):
+        raise ConfigError("'relocate' must be true or false")
+    max_iterations = _integer_at_least(data.get("max_iterations", 2000), 1,
+                                       "'max_iterations'")
     domain = _domain_from_spec(data.get("domain"))
-    mu = VortexMeasure(_atoms_from_spec(data.get("vortices"), "vortices"), domain)
-    grid = default_grid(domain, epsilon, int(data.get("cells_per_epsilon", 4)))
-    params = GLParameters(epsilon, delta, coeff, grid)
-    relocate = bool(data.get("relocate", False))
-    v0 = recovery_field(
-        mu, params,
-        s=data.get("s"), eta=data.get("eta"), relocate_cores=relocate,
-    )
+    atoms = _atoms_from_spec(data["vortices"], "vortices")
+    params = GLParameters(epsilon, delta, coeff,
+                          default_grid(domain, epsilon, cells))
+    try:
+        mu = VortexMeasure(atoms, domain)
+        v0 = recovery_field(mu, params, s=s, eta=eta, relocate_cores=relocate)
+    except ValueError as exc:  # atoms outside the domain or not separated
+        raise ConfigError(f"vortices: {exc}") from exc
     if args.seed is not None:
         rng = np.random.default_rng(args.seed)
         noise = 1e-3 * rng.standard_normal(v0.values.shape)
         noise[0, :] = noise[-1, :] = 0.0
         noise[:, 0] = noise[:, -1] = 0.0
         v0 = type(v0)(v0.grid, v0.values + noise, s1_valued=False)
-    budget = MinimizeBudget(max_iterations=int(data.get("max_iterations", 2000)))
+    budget = MinimizeBudget(max_iterations=max_iterations)
     initial = gl_energy(v0, params)
     report = minimize_gl(v0, params, budget)
 
@@ -279,21 +296,34 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     return 0
 
 
+_BALL_KEYS = {"x", "y", "radius", "weight"}
+
+
 def _cmd_balls(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    entries = data.get("balls")
+    _require_keys(data, {"balls", "t_final"}, {"balls"}, "top level")
+    entries = data["balls"]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("'balls' must be a nonempty list")
+    balls = []
+    for i, entry in enumerate(entries):
+        where = f"balls[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} must be an object")
+        _require_keys(entry, _BALL_KEYS, _BALL_KEYS, where)
+        if not _is_integer(entry["weight"]):
+            raise ConfigError(
+                f"'weight' at {where} must be an integer, got {entry['weight']!r}")
+        balls.append(WeightedBall(
+            (_number(entry, "x", where), _number(entry, "y", where)),
+            _positive(entry, "radius", where), entry["weight"],
+        ))
+    t_final = _number(data, "t_final", "top level") if "t_final" in data else 1.0
+    if not 0.0 <= t_final < math.inf:
+        raise ConfigError(f"'t_final' must be a finite number >= 0, got {t_final!r}")
     try:
-        balls = [
-            WeightedBall(
-                (float(b["x"]), float(b["y"])), float(b["radius"]),
-                int(b["weight"]),
-            )
-            for b in entries
-        ]
-        timeline = evolve(balls, float(data.get("t_final", 1.0)))
-    except (KeyError, ValueError) as exc:
+        timeline = evolve(balls, t_final)
+    except ValueError as exc:
         raise ConfigError(f"invalid ball family: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "balls.csv")
@@ -360,16 +390,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required,
                        help="path to a JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent rows")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for minimizer initialization perturbations")
 
     common(sub.add_parser("cell", help="solve the periodic cell problem"))
     common(sub.add_parser("psi", help="estimate singularity costs"))
-    common(sub.add_parser("minimize", help="descend the energy once"))
+    minimize = sub.add_parser("minimize", help="descend the energy once")
     common(sub.add_parser("balls", help="grow and merge a ball family"))
-    common(sub.add_parser("scaling", help="run a scaling study"))
+    scaling = sub.add_parser("scaling", help="run a scaling study")
+    for p in (minimize, scaling):
+        common(p)
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed for minimizer initialization perturbations")
+    scaling.add_argument("--threads", type=int, default=1,
+                         help="worker threads for independent rows")
     flat = sub.add_parser("flat", help="flat distance between two measure CSVs")
     flat.add_argument("first", help="CSV of the first measure (x,y,charge)")
     flat.add_argument("second", help="CSV of the second measure")

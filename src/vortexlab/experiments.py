@@ -187,6 +187,19 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(value)
 
 
+def _positive(obj: dict, key: str, where: str,
+              default: Optional[float] = None) -> float:
+    """obj[key] when it is a finite number > 0; `default` when the key is
+    absent and a default is given."""
+    if key not in obj and default is not None:
+        return default
+    value = _number(obj, key, where)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(
+            f"'{key}' at {where} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def coefficient_from_spec(spec: Any, where: str = "coefficient") -> PeriodicCoefficient:
     """Build a coefficient from its JSON description.
 

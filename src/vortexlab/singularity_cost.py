@@ -19,13 +19,17 @@ form conformally flat, so both solvers work on a plain rectangle:
     sampled at face midpoints.  The midpoint rule is exactly self-dual
     under a -> alpha*beta/a for two-valued coefficients, which keeps the
     effective behavior of under-resolved fine structure unbiased, unlike
-    one-sided averaging of cell values.  FFT/DCT-preconditioned CG.
+    one-sided averaging of cell values.  CG preconditioned by the exact
+    inverse of the constant-coefficient operator: real FFT along theta and,
+    along s, DCT-II for free circles or DST-II for a fixed trace (whose
+    half-cell Dirichlet rows it diagonalizes), so both boundary kinds take
+    about as many iterations.
   * homogenized mode: bilinear (Q1) finite elements with exact 2x2 Gauss
     element integration of the rotated tensor Q(theta)^T A Q(theta); the
     exact integration leaves no spurious zero-energy (hourglass) modes.
     CG on the assembled stiffness, preconditioned by the exact inverse of
     the isotropic Q1 operator of scale trace(A)/2 (DCT-I or DST-I along s,
-    FFT along theta; Concus & Golub's fast-solver preconditioning): one
+    real FFT along theta; Concus & Golub's fast-solver preconditioning): one
     iteration for isotropic tensors, a few dozen for anisotropic ones.
 
 The limit cost psi(z) is estimated from a schedule of increasing radius
@@ -156,54 +160,57 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
     tc = (np.arange(nt) + 0.5) * dt
 
     def coeff_at(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        rho = np.exp(s)
-        pts = np.stack(
-            [center[0] + rho * np.cos(t), center[1] + rho * np.sin(t)], axis=-1
-        )
-        return coeff.eval(pts.reshape(-1, 2)).reshape(s.shape)
+        """a(x / delta) at log-radii s (rows) and angles t (columns)."""
+        rho = np.exp(s)[:, None]
+        x = (center[0] + rho * np.cos(t)[None, :]) / delta
+        y = (center[1] + rho * np.sin(t)[None, :]) / delta
+        return coeff.eval(np.stack([x, y], axis=-1))
 
     # face midpoints: radial faces between cell rows j and j+1 sit at node
     # radii; angular faces between cell columns k and k+1 sit at node angles
-    sf, tf = np.meshgrid(s0 + np.arange(1, ns) * ds, tc, indexing="ij")
-    ws = coeff_at(sf, tf)  # (ns-1, nt) interior radial faces
-    sm, tm = np.meshgrid(sc, np.arange(1, nt + 1) * dt, indexing="ij")
-    wt = coeff_at(sm, tm)  # (ns, nt), face k between columns k and k+1
+    ws = coeff_at(s0 + np.arange(1, ns) * ds, tc)  # (ns-1, nt) interior faces
+    wt = coeff_at(sc, np.arange(1, nt + 1) * dt)  # (ns, nt), face k: columns k, k+1
+    abar = float(ws.mean()) if ws.size else float(wt.mean())
 
+    # each face weight carries its geometric factor from here on
     cs = dt / ds
     ct = ds / dt
-
+    ws *= cs
+    wt *= ct
     if problem.fixed_trace:
         # half-cell Dirichlet: boundary faces at the circles, phi = 0 there
-        tb = tc[None, :]
-        wb0 = coeff_at(np.full((1, nt), s0), tb)[0]
-        wb1 = coeff_at(np.full((1, nt), s0 + length), tb)[0]
+        wb = 2.0 * cs * coeff_at(np.array([s0, s0 + length]), tc)  # (2, nt)
+
+    out = np.empty((ns, nt))
+    fs = np.empty((ns - 1, nt))
+    ft = np.empty((ns, nt))
 
     def apply_a(phi: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(phi)
-        fs = ws * (phi[1:, :] - phi[:-1, :]) * cs
-        out[:-1, :] -= fs
-        out[1:, :] += fs
-        ft = wt * (np.roll(phi, -1, axis=1) - phi) * ct
-        out -= ft - np.roll(ft, 1, axis=1)
+        # angular fluxes ft[:, k] = wt[:, k] (phi[:, k+1] - phi[:, k]), wrapped
+        np.subtract(phi[:, 1:], phi[:, :-1], out=ft[:, :-1])
+        np.subtract(phi[:, :1], phi[:, -1:], out=ft[:, -1:])
+        np.multiply(ft, wt, out=ft)
+        out[:, 1:] = ft[:, :-1]
+        out[:, :1] = ft[:, -1:]
+        np.subtract(out, ft, out=out)
+        np.subtract(phi[1:], phi[:-1], out=fs)
+        np.multiply(fs, ws, out=fs)
+        out[:-1] -= fs
+        out[1:] += fs
         if problem.fixed_trace:
-            out[0, :] += 2.0 * cs * wb0 * phi[0, :]
-            out[-1, :] += 2.0 * cs * wb1 * phi[-1, :]
+            row = ft[0]
+            out[0] += np.multiply(wb[0], phi[0], out=row)
+            out[-1] += np.multiply(wb[1], phi[-1], out=row)
         return out
 
-    g = wt * (z * dt) * ct
+    g = wt * (z * dt)
     b = g - np.roll(g, 1, axis=1)
 
-    abar = float(ws.mean()) if ws.size else float(wt.mean())
+    precond = mixed_dct_fft_preconditioner(
+        (ns, nt), abar * cs, abar * ct, pinned=problem.fixed_trace)
     if problem.fixed_trace:
-        # boundary mass keeps the operator definite; hand the preconditioner
-        # the constant mode's Rayleigh quotient instead of projecting it out
-        ell0 = 2.0 * cs * float(wb0.mean() + wb1.mean()) / ns
-        precond = mixed_dct_fft_preconditioner(
-            (ns, nt), abar * cs, abar * ct, zero_mode_eigenvalue=ell0
-        )
         project = None
     else:
-        precond = mixed_dct_fft_preconditioner((ns, nt), abar * cs, abar * ct)
         def project(v: np.ndarray) -> np.ndarray:
             v -= v.mean()
             return v
@@ -221,10 +228,9 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
 
     dps = phi[1:, :] - phi[:-1, :]
     dpt = np.roll(phi, -1, axis=1) - phi
-    energy = float(np.sum(ws * dps**2) * cs + np.sum(wt * (dpt + z * dt) ** 2) * ct)
+    energy = float(np.sum(ws * dps**2) + np.sum(wt * (dpt + z * dt) ** 2))
     if problem.fixed_trace:
-        energy += float(2.0 * cs * np.sum(wb0 * phi[0, :] ** 2))
-        energy += float(2.0 * cs * np.sum(wb1 * phi[-1, :] ** 2))
+        energy += float(np.sum(wb * phi[[0, -1], :] ** 2))
 
     # cell-centered phi -> nodal phi by adjacent-cell averaging
     ext = np.concatenate([phi[:1, :], phi, phi[-1:, :]], axis=0)  # (ns+2, nt)

@@ -7,18 +7,23 @@ plus a family of spectral preconditioners covers all of them.  The
 preconditioners invert the constant-coefficient analogue of the operator
 with the transform that diagonalizes it:
 
-  * periodic x periodic       -> 2-d FFT
-  * reflective x periodic     -> DCT-II along the reflective axis, FFT
-                                 along the periodic one
+  * periodic x periodic       -> 2-d real FFT
+  * reflective x periodic     -> DCT-II along the reflective axis, real
+                                 FFT along the periodic one
+  * pinned x periodic         -> DST-II along the pinned axis (half-cell
+                                 Dirichlet rows, exact), real FFT along
+                                 the periodic one
   * reflective x reflective   -> 2-d DCT-II (also used for masked grids,
                                  where it preconditions the zero-filled
                                  extension)
   * Q1 nodes, free x periodic -> DCT-I along the free axis (end rows
-                                 doubled), FFT along the periodic one
-  * Q1 nodes, pinned x periodic -> DST-I on the interior nodes, FFT along
-                                 the periodic one
+                                 doubled), real FFT along the periodic one
+  * Q1 nodes, pinned x periodic -> DST-I on the interior nodes, real FFT
+                                 along the periodic one
 
-All transforms are unitary up to diagonal scalings that commute with the
+Periodic axes use the real-input FFT: the data are real, so only the
+n//2 + 1 nonnegative frequencies are transformed and divided.  All
+transforms are unitary up to diagonal scalings that commute with the
 eigenvalue division, so each preconditioner is symmetric positive definite
 on the relevant subspace.
 
@@ -174,52 +179,63 @@ def _eig_reflective(n: int) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
+def _eig_pinned(n: int) -> np.ndarray:
+    return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / n)
+
+
 def periodic_fft_preconditioner(
     shape: tuple[int, int], scale: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse of scale * (periodic 5-point Laplacian), zero mode projected."""
-    lam1 = _eig_periodic(shape[0])
-    lam2 = _eig_periodic(shape[1])
-    ell = scale * (lam1[:, None] + lam2[None, :])
+    """Inverse of scale * (periodic 5-point Laplacian), zero mode projected.
+
+    The eigenvalues along axis 0 cover every frequency; along axis 1 only
+    the nonnegative ones that `rfft2` keeps."""
+    lam0 = _eig_periodic(shape[0])
+    lam1 = _eig_periodic(shape[1])[: shape[1] // 2 + 1]
+    ell = scale * (lam0[:, None] + lam1[None, :])
     ell[0, 0] = 1.0
 
     def apply(r: np.ndarray) -> np.ndarray:
         workers = _workers(r)
-        rh = sfft.fft2(r, workers=workers)
+        rh = sfft.rfft2(r, workers=workers)
         rh /= ell
         rh[0, 0] = 0.0
-        return sfft.ifft2(rh, overwrite_x=True, workers=workers).real
+        return sfft.irfft2(rh, s=shape, overwrite_x=True, workers=workers)
 
     return apply
 
 
 def mixed_dct_fft_preconditioner(
     shape: tuple[int, int], coeff_axis0: float, coeff_axis1: float,
-    zero_mode_eigenvalue: Optional[float] = None,
+    *, pinned: bool = False,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse of the constant-coefficient operator with reflective axis 0
-    and periodic axis 1, eigenvalue coeff0*lam_N(p) + coeff1*lam_P(q).
+    """Inverse of the constant-coefficient cell-centered operator with axis 0
+    bounded and axis 1 periodic, eigenvalue coeff0*lam0(p) + coeff1*lam_P(q).
 
-    The (0,0) eigenvalue of that model operator is zero.  For singular
-    operators (paired with a mean-zero projection) leave
-    `zero_mode_eigenvalue` unset and the constant mode is projected out;
-    for operators made definite by boundary terms pass their constant-mode
-    Rayleigh quotient so the preconditioner stays positive definite."""
-    lam0 = coeff_axis0 * _eig_reflective(shape[0])
-    lam1 = coeff_axis1 * _eig_periodic(shape[1])
-    ell = lam0[:, None] + lam1[None, :]
-    kill_zero = zero_mode_eigenvalue is None
-    ell[0, 0] = 1.0 if kill_zero else zero_mode_eigenvalue
+    Along axis 0 the rows either reflect (`pinned` False: DCT-II, lam0 =
+    2 - 2 cos(pi p / n0), p = 0..n0-1) or carry the half-cell Dirichlet
+    rows 3 phi_0 - phi_1 of a zero trace on both ends (`pinned` True:
+    DST-II, lam0 = 2 - 2 cos(pi (p + 1) / n0)).  The reflective operator
+    is singular; its constant mode is projected out, so pair it with a
+    mean-zero projection.  The pinned one is definite and nothing is
+    projected."""
+    n0, n1 = shape
+    lam0 = _eig_pinned(n0) if pinned else _eig_reflective(n0)
+    lam1 = _eig_periodic(n1)[: n1 // 2 + 1]  # the frequencies rfft keeps
+    ell = coeff_axis0 * lam0[:, None] + coeff_axis1 * lam1[None, :]
+    if not pinned:
+        ell[0, 0] = 1.0
+    forward, inverse = (sfft.dst, sfft.idst) if pinned else (sfft.dct, sfft.idct)
 
     def apply(r: np.ndarray) -> np.ndarray:
         workers = _workers(r)
-        w = sfft.dct(r, type=2, axis=0, workers=workers)
-        w = sfft.fft(w, axis=1, workers=workers)
+        w = forward(r, type=2, axis=0, workers=workers)
+        w = sfft.rfft(w, axis=1, workers=workers)
         w /= ell
-        if kill_zero:
+        if not pinned:
             w[0, 0] = 0.0
-        w = sfft.ifft(w, axis=1, overwrite_x=True, workers=workers).real
-        return sfft.idct(w, type=2, axis=0, overwrite_x=True, workers=workers)
+        w = sfft.irfft(w, n=n1, axis=1, overwrite_x=True, workers=workers)
+        return inverse(w, type=2, axis=0, overwrite_x=True, workers=workers)
 
     return apply
 

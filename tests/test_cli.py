@@ -203,6 +203,86 @@ def test_balls_csv_and_bad_family(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_minimize_strict_config_exits_2(tmp_path, capsys):
+    base = {
+        "coefficient": {"kind": "constant", "value": 1.0},
+        "epsilon": 2.0**-4,
+        "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+    }
+    cases = (
+        ({"max_iteration": 3}, "unknown key 'max_iteration' at top level"),
+        ({"epsilon": "x"}, "'epsilon' at top level must be a number"),
+        ({"epsilon": -0.1}, "'epsilon' at top level must be a finite number > 0"),
+        ({"delta": 0}, "'delta' at top level must be a finite number > 0"),
+        ({"cells_per_epsilon": 2}, "'cells_per_epsilon' must be an integer >= 4"),
+        ({"cells_per_epsilon": 4.0}, "'cells_per_epsilon' must be an integer >= 4"),
+        ({"s": 1.5}, "'s' must lie in (0,1)"),
+        ({"s": "0.5"}, "'s' at top level must be a number"),
+        ({"eta": [0.5]}, "'eta' at top level must be a number"),
+        ({"relocate": "yes"}, "'relocate' must be true or false"),
+        ({"max_iterations": 0}, "'max_iterations' must be an integer >= 1"),
+        ({"max_iterations": "3"}, "'max_iterations' must be an integer >= 1"),
+        ({"vortices": [{"x": 1.5, "y": 0.5, "charge": 1}]}, "outside the open domain"),
+        ({"vortices": [{"x": 0.5, "y": 0.5, "charge": 1},
+                       {"x": 0.52, "y": 0.5, "charge": -1}]}, "below 2*eps"),
+    )
+    for change, message in cases:
+        cfg = _config(tmp_path, {**base, **change})
+        assert cli.main(["minimize", "--config", cfg,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+    for key in ("coefficient", "vortices"):
+        cfg = _config(tmp_path, {k: v for k, v in base.items() if k != key})
+        assert cli.main(["minimize", "--config", cfg,
+                         "--out", str(tmp_path)]) == 2
+        assert f"missing key '{key}' at top level" in capsys.readouterr().err
+
+
+def test_balls_strict_config_exits_2(tmp_path, capsys):
+    ball = {"x": 0.0, "y": 0.0, "radius": 0.1, "weight": 1}
+    cases = (
+        ({"balls": [ball], "t_fnal": 1.0}, "unknown key 't_fnal' at top level"),
+        ({"balls": [ball], "t_final": "x"}, "'t_final' at top level must be a number"),
+        ({"balls": [ball], "t_final": -1.0}, "'t_final' must be a finite number >= 0"),
+        ({"t_final": 1.0}, "missing key 'balls' at top level"),
+        ({"balls": []}, "'balls' must be a nonempty list"),
+        ({"balls": [[0.0, 0.0, 0.1, 1]]}, "balls[0] must be an object"),
+        ({"balls": [{**ball, "r": 0.1}]}, "unknown key 'r' at balls[0]"),
+        ({"balls": [{"x": 0.0, "y": 0.0, "weight": 1}]},
+         "missing key 'radius' at balls[0]"),
+        ({"balls": [{**ball, "x": "a"}]}, "'x' at balls[0] must be a number"),
+        ({"balls": [{**ball, "radius": 0.0}]},
+         "'radius' at balls[0] must be a finite number > 0"),
+        ({"balls": [{**ball, "weight": 1.0}]},
+         "'weight' at balls[0] must be an integer"),
+        ({"balls": [{**ball, "weight": "1"}]},
+         "'weight' at balls[0] must be an integer"),
+    )
+    for payload, message in cases:
+        cfg = _config(tmp_path, payload)
+        assert cli.main(["balls", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cell", "--threads", "2"],
+    ["psi", "--seed", "1"],
+    ["minimize", "--threads", "2"],
+    ["balls", "--seed", "1"],
+    ["flat", "a.csv", "b.csv", "--threads", "2"],
+], ids=["cell-threads", "psi-seed", "minimize-threads", "balls-seed",
+        "flat-threads"])
+def test_flags_only_where_they_act(argv, tmp_path, capsys):
+    # --threads is read by scaling only, --seed by minimize and scaling
+    cfg = _config(tmp_path, {})
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--config", cfg])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_scaling_study_end_to_end(tmp_path, capsys):
     cfg = _config(tmp_path, {
         "coefficient": {"kind": "constant", "value": 2.0},

@@ -1,11 +1,12 @@
 """Energy quadrature, recovery competitors, the proxy energy, and descent."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from vortexlab import coefficients
+from vortexlab import coefficients, gl_solver
 from vortexlab.fields import CartesianGrid, VectorField2D
 from vortexlab.vortex_analysis import Rectangle, VortexMeasure, detect_vortices
 from vortexlab.gl_solver import (
@@ -125,7 +126,7 @@ def test_recovery_field_validation():
         recovery_field(mu, params, s=1.5)
 
 
-def test_recovery_with_oscillation_corrector():
+def test_recovery_with_oscillation_corrector(monkeypatch):
     # delta = sqrt(eps) with relocation: the corrector annulus is active
     eps = 2.0**-5
     delta = math.sqrt(eps)
@@ -140,7 +141,14 @@ def test_recovery_with_oscillation_corrector():
     target = relocated_measure(mu, coeff, delta).atoms[0][0]
     assert math.dist(found.atoms[0][0], target) <= 2.0 * grid.h
     e = gl_energy(v, params)
-    assert e.total == pytest.approx(44.6693063, rel=1e-6)
+    assert e.total == pytest.approx(44.5554865, rel=1e-6)
+    # a corrector solved in a(x) instead of the a(x/delta) that gl_energy
+    # measures is a worse competitor
+    solve = gl_solver.min_annulus_energy
+    monkeypatch.setattr(gl_solver, "min_annulus_energy",
+                        lambda p: solve(dataclasses.replace(p, delta=1.0)))
+    mismatched = recovery_field(mu, params, s=0.8, relocate_cores=True)
+    assert e.total < gl_energy(mismatched, params).total
 
 
 # -- prescribed-degree proxy -----------------------------------------------------------

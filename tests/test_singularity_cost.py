@@ -218,8 +218,78 @@ def test_checkerboard_annulus_bracketed_and_ordered():
     assert 2.0 * math.pi * 1.0 * log_r <= free <= 2.0 * math.pi * 4.0 * log_r
     # pinning the boundary trace shrinks the admissible class
     assert pinned >= free - 1e-12
-    assert free == pytest.approx(25.9508450, rel=1e-6)
-    assert pinned == pytest.approx(26.2692483, rel=1e-6)
+    assert free == pytest.approx(26.1544735, rel=1e-6)
+    assert pinned == pytest.approx(26.3178332, rel=1e-6)
+    # the period-delta medium lies closer to its homogenized cost
+    # 2 pi sqrt(det A_hom) log 8 = 4 pi log 8 than the period-1 medium does
+    period_one, _ = min_annulus_energy(
+        AnnulusProblem(grid, 1, coefficient=coeff, delta=1.0))
+    limit = 4.0 * math.pi * log_r
+    assert abs(free - limit) < abs(period_one - limit)
+
+
+def _dense_oscillating_energy(problem):
+    """Reference oscillating minimum: the finite-volume energy sum over
+    faces, sum w (D phi + c)^2, assembled face by face as dense matrices
+    and minimized by numpy.linalg least squares."""
+    grid, z = problem.grid, problem.z
+    ns, nt = grid.n_r - 1, grid.n_theta
+    s0 = math.log(grid.r_inner)
+    ds = (math.log(grid.r_outer) - s0) / ns
+    dt = 2.0 * math.pi / nt
+
+    def a(s, t):
+        x = grid.center[0] + math.exp(s) * math.cos(t)
+        y = grid.center[1] + math.exp(s) * math.sin(t)
+        return float(problem.coefficient.eval(np.array([x, y]) / problem.delta))
+
+    faces = []  # (weight, {cell: coefficient}, constant)
+    for k in range(nt):
+        tc = (k + 0.5) * dt
+        for j in range(1, ns):  # radial faces between rows j - 1 and j
+            faces.append((a(s0 + j * ds, tc) * dt / ds,
+                          {(j, k): 1.0, (j - 1, k): -1.0}, 0.0))
+        for j in range(ns):  # angular faces between columns k and k + 1
+            faces.append((a(s0 + (j + 0.5) * ds, (k + 1) * dt) * ds / dt,
+                          {(j, (k + 1) % nt): 1.0, (j, k): -1.0}, z * dt))
+        if problem.fixed_trace:  # phi = 0 half a cell beyond each end row
+            for j, s in ((0, s0), (ns - 1, s0 + ns * ds)):
+                faces.append((2.0 * a(s, tc) * dt / ds, {(j, k): 1.0}, 0.0))
+    d = np.zeros((len(faces), ns * nt))
+    w = np.array([face[0] for face in faces])
+    c = np.array([face[2] for face in faces])
+    for row, (_, cells, _) in enumerate(faces):
+        for (j, k), value in cells.items():
+            d[row, j * nt + k] = value
+    root = np.sqrt(w)
+    phi = np.linalg.lstsq(root[:, None] * d, -root * c, rcond=None)[0]
+    return float(np.sum(w * (d @ phi + c) ** 2))
+
+
+@pytest.mark.parametrize("fixed_trace", [False, True], ids=["free", "fixed"])
+def test_oscillating_annulus_matches_dense_oracle(fixed_trace):
+    grid = PolarGrid((0.3, -0.2), 1.0, 2.0, 9, 24)
+    coeff = coefficients.smooth_trigonometric()
+    for z in (1, -2):
+        problem = AnnulusProblem(grid, z, coefficient=coeff, delta=2.0,
+                                 fixed_trace=fixed_trace)
+        energy, _ = min_annulus_energy(problem)
+        assert energy == pytest.approx(_dense_oscillating_energy(problem),
+                                       rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio, delta", [(8.0, 0.25), (100.0, 0.1)])
+def test_fixed_trace_annulus_converges_like_free(monkeypatch, ratio, delta):
+    # DST-II inverts the constant-coefficient half-cell Dirichlet operator
+    # exactly, as DCT-II does the reflective one
+    infos = _counting_pcg(monkeypatch)
+    coeff = coefficients.checkerboard(1.0, 4.0)
+    grid = oscillating_annulus_grid(1.0, ratio, delta)
+    for fixed in (False, True):
+        min_annulus_energy(AnnulusProblem(grid, 1, coefficient=coeff,
+                                          delta=delta, fixed_trace=fixed))
+    free, pinned = (info.iterations for info in infos)
+    assert pinned <= free + 2
 
 
 def test_oscillating_psi_reports_coefficient_bounds():

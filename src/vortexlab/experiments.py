@@ -315,10 +315,7 @@ def _regime_from_spec(spec: Any, where: str) -> tuple[str, float]:
     kind = spec.get("kind")
     if kind == "delta_proportional":
         _require_keys(spec, {"kind", "factor"}, set(), where)
-        factor = float(spec.get("factor", 1.0))
-        if factor <= 0:
-            raise ConfigError(f"'factor' at {where} must be positive")
-        return kind, factor
+        return kind, _positive(spec, "factor", where, default=1.0)
     if kind == "power_law":
         _require_keys(spec, {"kind", "lambda"}, {"lambda"}, where)
         lam = _number(spec, "lambda", where)
@@ -382,9 +379,9 @@ def parse_config(path: str) -> ExperimentConfig:
                               "'cells_per_epsilon' at solver")
     tensor_n = _integer_at_least(solver.get("tensor_resolution", 256),
                                  MIN_RESOLUTION, "'tensor_resolution' at solver")
-    rtol = float(solver.get("rtol", 1e-8))
-    if not (0 < rtol < 1):
-        raise ConfigError("'rtol' at solver must lie in (0,1)")
+    rtol = _positive(solver, "rtol", "solver", default=1e-8)
+    if not rtol < 1:
+        raise ConfigError(f"'rtol' at solver must lie in (0,1), got {rtol!r}")
     max_iterations = _integer_at_least(solver.get("max_iterations", 2000), 1,
                                        "'max_iterations' at solver")
 
@@ -434,7 +431,10 @@ def _measure_one(
     tensor: HomogenizedTensor,
     epsilon: float,
     seed: Optional[int],
-) -> ScalingRow:
+) -> tuple[ScalingRow, Optional[dict[str, Any]]]:
+    """The row for one epsilon, and what its solve reported (CG iterations
+    and final relative residual, or descent iterations and stop reason;
+    None for `gl_recovery` and for rows that failed)."""
     delta = _delta_for(config, epsilon)
     lam = _lambda_effective(epsilon, delta)
     mu = config.measure()
@@ -442,6 +442,7 @@ def _measure_one(
     log_eps = abs(math.log(epsilon))
     relocate = config.regime in ("power_law", "log_slow")
     flag = ""
+    solve = None
     try:
         if config.channel == "core_radius":
             placeholder = CartesianGrid(config.domain.origin, config.domain.extent, (4, 4))
@@ -449,9 +450,11 @@ def _measure_one(
             used = (
                 relocated_measure(mu, config.coefficient, delta) if relocate else mu
             )
-            energy, _ = core_radius_energy(
+            energy, info = core_radius_energy(
                 used, params, n=_grid_cells(config, epsilon), rtol=config.rtol
             )
+            solve = {"iterations": info.iterations,
+                     "relative_residual": info.relative_residual}
         else:
             grid = default_grid(config.domain, epsilon, config.cells_per_epsilon)
             params = GLParameters(epsilon, delta, config.coefficient, grid)
@@ -469,6 +472,8 @@ def _measure_one(
                     v, params, MinimizeBudget(max_iterations=config.max_iterations)
                 )
                 energy = report.energy.total
+                solve = {"iterations": report.iterations,
+                         "stop_reason": report.stop_reason}
                 if not report.converged:
                     flag = f"stop_reason={report.stop_reason}"
             else:
@@ -477,12 +482,12 @@ def _measure_one(
         return ScalingRow(
             epsilon, delta, lam, math.nan, math.nan, predicted, math.nan,
             flag=f"{type(exc).__name__}: {exc}",
-        )
+        ), None
     per_log = energy / log_eps
     return ScalingRow(
         epsilon, delta, lam, energy, per_log, predicted,
         (per_log - predicted) / predicted, flag=flag,
-    )
+    ), solve
 
 
 def run_scaling_study(
@@ -494,7 +499,8 @@ def run_scaling_study(
 
     Rows are independent and scheduled across `threads` workers; the
     homogenized tensor is solved once up front and shared.  A failed row
-    is flagged and the study continues.
+    is flagged and the study continues.  The summary's `solves` lists,
+    per epsilon, what the row's solve reported.
     """
     t_start = time.perf_counter()
     tensor = homogenized_tensor(
@@ -502,20 +508,22 @@ def run_scaling_study(
     )
     tensor_time = time.perf_counter() - t_start
 
-    def job(epsilon: float) -> tuple[ScalingRow, float]:
+    def job(epsilon: float) -> tuple[ScalingRow, Optional[dict[str, Any]], float]:
         t0 = time.perf_counter()
-        row = _measure_one(config, tensor, epsilon, seed)
-        return row, time.perf_counter() - t0
+        row, solve = _measure_one(config, tensor, epsilon, seed)
+        return row, solve, time.perf_counter() - t0
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(job, config.epsilons))
     else:
         outcomes = [job(eps) for eps in config.epsilons]
+    outcomes.sort(key=lambda o: -o[0].epsilon)
 
-    rows = [row for row, _ in outcomes]
-    rows.sort(key=lambda r: -r.epsilon)
-    timings = {f"{row.epsilon:.10g}": dt for row, dt in outcomes}
+    rows = [row for row, _, _ in outcomes]
+    timings = {f"{row.epsilon:.10g}": dt for row, _, dt in outcomes}
+    solves = [{"epsilon": row.epsilon, **solve}
+              for row, solve, _ in outcomes if solve is not None]
 
     clean = [r for r in rows if not r.flag]
     slope = None
@@ -530,6 +538,7 @@ def run_scaling_study(
         "trend_slope": slope,
         "rows_total": len(rows),
         "rows_flagged": sum(1 for r in rows if r.flag),
+        "solves": solves,
         "seed": seed,
         "threads": threads,
         "versions": {

@@ -41,7 +41,14 @@ from .singularity_cost import (
     min_annulus_energy,
     oscillating_annulus_grid,
 )
-from .solvers import SolveInfo, SolverError, dct2_preconditioner, pcg
+from .solvers import (
+    SolveInfo,
+    SolverError,
+    _row_blocks,
+    active_projection,
+    dct2_preconditioner,
+    pcg,
+)
 from .vortex_analysis import Rectangle, VortexMeasure, detect_vortices
 
 __all__ = [
@@ -330,6 +337,15 @@ def core_radius_energy(
     solve on the cell-centered grid: n x n square cells over the domain,
     coefficient sampled at face midpoints, natural boundary conditions,
     DCT-preconditioned conjugate gradients on the active cells.
+
+    The operator is applied in cache-sized row chunks (`_row_blocks`): each
+    row takes its two x-face fluxes and its y-fluxes, so no grid-size flux
+    array exists, and grids of 512^2 cells or more spread the rows over
+    the process's threads.  The mask is applied by indexing the inactive
+    cells, the few inside the eps-disks.  Energy and `SolveInfo` are
+    bit-for-bit the same for every thread count.
+
+    Returns (energy, SolveInfo of the CG solve).
     """
     if not mu.atoms:
         raise ValueError("the proxy energy needs at least one atom")
@@ -349,8 +365,7 @@ def core_radius_energy(
     active = np.ones((n, n), dtype=bool)
     for (ax, ay), _ in mu.atoms:
         active &= (x1 - ax) ** 2 + (x2 - ay) ** 2 > eps**2
-    nact = int(active.sum())
-    if nact == 0:
+    if not active.any():
         raise ValueError("no active cells: eps-disks cover the whole domain")
 
     coeff = params.coefficient
@@ -379,29 +394,30 @@ def core_radius_energy(
     del t
     b *= active
 
-    # the operator's output and face fluxes, reused by every CG iteration
+    # the operator's output, reused by every CG iteration
     out = np.empty((n, n))
-    fx = np.empty((n - 1, n))
-    fy = np.empty((n, n - 1))
 
     def apply_a(phi: np.ndarray) -> np.ndarray:
-        out.fill(0.0)
-        np.multiply(wx, np.subtract(phi[1:, :], phi[:-1, :], out=fx), out=fx)
-        out[:-1, :] -= fx
-        out[1:, :] += fx
-        np.multiply(wy, np.subtract(phi[:, 1:], phi[:, :-1], out=fy), out=fy)
-        out[:, :-1] -= fy
-        out[:, 1:] += fy
+        def rows(i0: int, i1: int) -> None:
+            # x-fluxes through faces i0..i1 (face i lies below row i; the
+            # domain's end faces carry none), then row i gets
+            # fx[i] - fx[i+1] and its y-fluxes
+            lo, hi = max(i0, 1), min(i1, n - 1)
+            fx = np.zeros((i1 - i0 + 1, n))
+            np.multiply(wx[lo - 1:hi], phi[lo:hi + 1] - phi[lo - 1:hi],
+                        out=fx[lo - i0:hi - i0 + 1])
+            block = out[i0:i1]
+            np.subtract(fx[:-1], fx[1:], out=block)
+            fy = wy[i0:i1] * (phi[i0:i1, 1:] - phi[i0:i1, :-1])
+            block[:, :-1] -= fy
+            block[:, 1:] += fy
+
+        _row_blocks(out, rows)
         return out
 
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
     precond = dct2_preconditioner((n, n), abar, restrict=active)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v *= active
-        v -= v.sum() / nact
-        v *= active
-        return v
+    project = active_projection(active)
 
     phi, info = pcg(apply_a, b, precond, rtol=rtol, maxiter=50 * n,
                     project=project)

@@ -27,17 +27,24 @@ transforms are unitary up to diagonal scalings that commute with the
 eigenvalue division, so each preconditioner is symmetric positive definite
 on the relevant subspace.
 
-Transforms of 512 x 512 points or more run on as many threads as the
-process may use (its CPU affinity, read once at import); smaller ones stay
-on one thread, where starting threads costs more than it saves.  Each 1-d
-transform is computed the same way whatever the thread count, so the
-results are bit-for-bit identical.
+Work on arrays of 512 x 512 points or more runs on as many threads as the
+process may use (its CPU affinity, read once at import); smaller arrays
+stay on one thread, where starting threads costs more than it saves.  This
+covers the transforms and the elementwise work of a solve: CG's vector
+updates, the eigenvalue division, mask restrictions and operators that opt
+in through `_row_blocks`.  Elementwise work is also done in cache-sized
+row chunks, so a chain of updates reads and writes each large array once.
+Each 1-d transform and each element is computed the same way whatever the
+thread count, and every reduction (inner products, sums) runs over the
+whole array on one thread, so the results are bit-for-bit identical.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,6 +55,7 @@ __all__ = [
     "SolverError",
     "SolveInfo",
     "pcg",
+    "active_projection",
     "periodic_fft_preconditioner",
     "mixed_dct_fft_preconditioner",
     "dct2_preconditioner",
@@ -69,8 +77,91 @@ _THREADED_MIN_SIZE = 512 * 512
 
 
 def _workers(a: np.ndarray) -> int:
-    """Thread count for the transforms of `a`."""
+    """Thread count for the transforms and elementwise work on `a`."""
     return _WORKERS if a.size >= _THREADED_MIN_SIZE else 1
+
+
+# Elements per chunk of elementwise work: a chunk's operands and temporaries
+# stay in a 2 MiB per-core L2, so chained updates touch memory once.  On a
+# 2-core Xeon, at 2048^2, the core-radius operator took 27 ms in chunks of
+# 8-16 rows against 35 ms in whole half-grid blocks (79 ms unblocked), and
+# CG's x and r updates 18 ms in chunks of 2^15 against 25 ms unchunked;
+# at 256^2 two chunks cost no more than one.
+_CHUNK_ELEMENTS = 1 << 15
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The pool behind `_row_blocks`, started on first use, not at import."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
+                                       thread_name_prefix="vortexlab-rows")
+        return _pool
+
+
+def _row_blocks(a: np.ndarray, fn: Callable[[int, int], None]) -> None:
+    """Run fn(i0, i1) over row ranges [i0, i1) of axis 0 of `a` that cover
+    it exactly once, each at most `_CHUNK_ELEMENTS` elements (one row at
+    least).
+
+    `fn` must only touch rows i0..i1-1 of its outputs.  Arrays of 512^2
+    points or more are split into one contiguous block per worker
+    (`_WORKERS`, read at call time); the caller runs the first block and a
+    shared pool the others.  Smaller arrays run inline on the calling
+    thread.  `fn` runs on pool threads, so it must never call
+    `_row_blocks` itself: a pool task waiting on the pool can deadlock.
+    """
+    rows = a.shape[0]
+    step = max(1, _CHUNK_ELEMENTS * rows // max(a.size, 1))
+
+    def block(b0: int, b1: int) -> None:
+        for i0 in range(b0, b1, step):
+            fn(i0, min(i0 + step, b1))
+
+    workers = min(_workers(a), rows)
+    if workers <= 1:
+        block(0, rows)
+        return
+    bounds = [rows * k // workers for k in range(workers + 1)]
+    pool = _executor()
+    futures = [pool.submit(block, b0, b1)
+               for b0, b1 in zip(bounds[1:-1], bounds[2:])]
+    try:
+        block(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def active_projection(active: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """In-place map of a grid array onto mean-zero functions supported on the
+    True cells of the boolean mask `active`.
+
+    Zeroes the inactive cells, subtracts the mean over the active cells
+    and zeroes the inactive cells again, with the same arithmetic as
+    `v *= active; v -= v.sum() / nact; v *= active`.  Only the inactive
+    cells are indexed, which is cheap when they are few (holes around
+    vortex cores)."""
+    inactive = np.nonzero(~active)
+    nact = int(active.sum())
+
+    def project(v: np.ndarray) -> np.ndarray:
+        v[inactive] = 0.0
+        shift = v.sum() / nact
+
+        def rows(i0: int, i1: int) -> None:
+            v[i0:i1] -= shift
+
+        _row_blocks(v, rows)
+        v[inactive] = 0.0
+        return v
+
+    return project
 
 
 class SolverError(RuntimeError):
@@ -108,8 +199,11 @@ def pcg(
     preconditioner outputs that already lie in the subspace, so a per-step
     projection would only remove rounding.
 
-    After set-up the loop allocates no arrays of its own; the operator and
-    the preconditioner may.  Non-finite data (right-hand side, curvature
+    After set-up the loop allocates no grid-size arrays of its own (only
+    cache-sized temporaries); the operator and the preconditioner may.
+    The vector updates run in `_row_blocks`, on several threads for large
+    grids; the inner products stay whole-array, so the iterates do not
+    depend on the thread count.  Non-finite data (right-hand side, curvature
     p.Ap, or residual norm) raises SolverError at once instead of running
     out the iteration budget.
 
@@ -128,7 +222,6 @@ def pcg(
     r = b.copy()
     z = apply_preconditioner(r)
     p = z.copy()
-    scaled = np.empty_like(r)
     rz = float(np.vdot(r, z))
     res = bnorm
     for it in range(1, maxiter + 1):
@@ -147,8 +240,12 @@ def pcg(
                 residual=res / bnorm, iterations=it,
             )
         alpha = rz / denom
-        x += np.multiply(p, alpha, out=scaled)
-        r -= np.multiply(ap, alpha, out=scaled)
+
+        def update_x_r(i0: int, i1: int) -> None:
+            x[i0:i1] += p[i0:i1] * alpha
+            r[i0:i1] -= ap[i0:i1] * alpha
+
+        _row_blocks(r, update_x_r)
         res = math.sqrt(float(np.vdot(r, r)))
         if not math.isfinite(res):
             raise SolverError(
@@ -161,8 +258,13 @@ def pcg(
             return x, SolveInfo(it, res / bnorm)
         z = apply_preconditioner(r)
         rz_new = float(np.vdot(r, z))
-        p *= rz_new / rz
-        p += z
+        beta = rz_new / rz
+
+        def update_p(i0: int, i1: int) -> None:
+            p[i0:i1] *= beta
+            p[i0:i1] += z[i0:i1]
+
+        _row_blocks(p, update_p)
         rz = rz_new
     raise SolverError(
         f"conjugate gradients did not reach rtol={rtol} in {maxiter} iterations",
@@ -247,26 +349,27 @@ def dct2_preconditioner(
     """Inverse of scale * (reflective 5-point Laplacian) via 2-d DCT-II.
 
     When `restrict` (a boolean active mask) is given, the result is
-    restricted to the active cells and re-centered there, which keeps the
-    preconditioner symmetric positive definite on the masked subspace.
+    restricted to the active cells and re-centered there
+    (`active_projection`), which keeps the preconditioner symmetric
+    positive definite on the masked subspace.
     """
     lam1 = _eig_reflective(shape[0])
     lam2 = _eig_reflective(shape[1])
     ell = scale * (lam1[:, None] + lam2[None, :])
     ell[0, 0] = 1.0
-    nact = int(restrict.sum()) if restrict is not None else 0
+    project = active_projection(restrict) if restrict is not None else None
 
     def apply(r: np.ndarray) -> np.ndarray:
         workers = _workers(r)
         w = sfft.dctn(r, type=2, workers=workers)
-        w /= ell
+
+        def divide(i0: int, i1: int) -> None:
+            w[i0:i1] /= ell[i0:i1]
+
+        _row_blocks(w, divide)
         w[0, 0] = 0.0
         w = sfft.idctn(w, type=2, overwrite_x=True, workers=workers)
-        if restrict is not None:
-            w *= restrict
-            w -= w.sum() / nact
-            w *= restrict
-        return w
+        return w if project is None else project(w)
 
     return apply
 

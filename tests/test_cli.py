@@ -7,6 +7,7 @@ import math
 import pytest
 
 import vortexlab.cli as cli
+from vortexlab import solvers
 from vortexlab.solvers import SolverError
 from vortexlab.vortex_analysis import Rectangle, VortexMeasure
 
@@ -335,3 +336,44 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     })
     assert cli.main(["cell", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", True, None])
+@pytest.mark.parametrize("section,key", [("regime", "factor"), ("solver", "rtol")])
+def test_scaling_non_numeric_factor_and_rtol_exit_2(tmp_path, capsys, section,
+                                                     key, value):
+    data = {
+        "coefficient": {"kind": "constant", "value": 1.0},
+        "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+        "regime": {"kind": "delta_proportional"},
+        "epsilons": {"k_min": 4, "k_max": 4},
+        "solver": {"tensor_resolution": 32},
+    }
+    data[section][key] = value
+    cfg = _config(tmp_path, data)
+    assert cli.main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{key}'" in err
+
+
+def test_scaling_csv_identical_across_threads_at_threaded_size(tmp_path,
+                                                               monkeypatch):
+    # the finest row is 512^2, so the row pool runs nested over the
+    # solver's threaded transforms and elementwise work
+    monkeypatch.setattr(solvers, "_WORKERS", 2)
+    assert 512 * 512 >= solvers._THREADED_MIN_SIZE
+    cfg = _config(tmp_path, {
+        "coefficient": {"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
+        "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+        "regime": {"kind": "delta_proportional"},
+        "epsilons": {"k_min": 5, "k_max": 7},
+        "solver": {"tensor_resolution": 32},
+    })
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert cli.main(["scaling", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+        outputs.append((out / "scaling.csv").read_bytes())
+    assert outputs[0].count(b"\n") == 4
+    assert outputs[0] == outputs[1]

@@ -151,6 +151,12 @@ def test_run_scaling_study_constant_coefficient(tmp_path):
     assert result.summary["tensor"]["a11"] == pytest.approx(2.0, rel=1e-9)
     assert result.summary["rows_flagged"] == 0
     assert result.summary["trend_slope"] is not None
+    # each row's CG solve is recorded, in row order
+    solves = result.summary["solves"]
+    assert [s["epsilon"] for s in solves] == [r.epsilon for r in rows]
+    for s in solves:
+        assert s["iterations"] > 0
+        assert 0.0 < s["relative_residual"] <= 1e-8
 
 
 def test_power_law_regime_sets_lambda_exactly(tmp_path):
@@ -192,6 +198,8 @@ def test_non_converged_descents_are_flagged(tmp_path):
         assert row.flag == "stop_reason=budget"
         assert math.isfinite(row.energy)
     assert result.summary["trend_slope"] is None
+    assert [(s["iterations"], s["stop_reason"])
+            for s in result.summary["solves"]] == [(3, "budget")] * 2
     # with the default budget the coarsest descent converges and is clean
     path = _minimal(tmp_path, coefficient={"kind": "constant", "value": 1.0},
                     channel="gl_minimize", epsilons={"k_min": 4, "k_max": 4})

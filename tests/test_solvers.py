@@ -1,7 +1,11 @@
 """CG driver and spectral preconditioners against direct solves."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from vortexlab import cell_problem, coefficients, gl_solver, singularity_cost, solvers
 from vortexlab.fields import CartesianGrid
@@ -328,3 +332,112 @@ def test_transform_threads_do_not_change_preconditioners(monkeypatch):
     assert np.array_equal(r, keep)
     for a, b in zip(threaded, serial):
         assert np.array_equal(a, b)
+
+
+def _dense_masked_dct2(shape, scale, mask):
+    """The masked DCT-II preconditioner restricting by whole-array products
+    with the mask, `w *= mask; w -= w.sum() / nact; w *= mask`: the oracle
+    for the index-based restriction."""
+    lam0 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[0]) / shape[0])
+    lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[1]) / shape[1])
+    ell = scale * (lam0[:, None] + lam1[None, :])
+    ell[0, 0] = 1.0
+    nact = int(mask.sum())
+
+    def apply(r):
+        w = sfft.dctn(r, type=2)
+        w /= ell
+        w[0, 0] = 0.0
+        w = sfft.idctn(w, type=2, overwrite_x=True)
+        w *= mask
+        w -= w.sum() / nact
+        w *= mask
+        return w
+
+    return apply
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (640, 520)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_masked_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape,
+                                                         workers):
+    monkeypatch.setattr(solvers, "_WORKERS", workers)
+    rng = np.random.default_rng(13)
+    mask = rng.uniform(size=shape) > 0.2
+    r = rng.standard_normal(shape)
+    got = dct2_preconditioner(shape, 1.7, restrict=mask)(r)
+    assert np.array_equal(got, _dense_masked_dct2(shape, 1.7, mask)(r))
+
+
+def test_pcg_threads_do_not_change_solution(monkeypatch):
+    n = 512  # large enough for threaded vector updates
+    assert n * n >= solvers._THREADED_MIN_SIZE
+    rng = np.random.default_rng(14)
+    cx, cy = 1.0 + rng.uniform(size=(2, n, n))
+
+    def op(u):  # periodic -div(c grad u)
+        fx = cx * (np.roll(u, -1, axis=0) - u)
+        fy = cy * (np.roll(u, -1, axis=1) - u)
+        return np.roll(fx, 1, axis=0) - fx + np.roll(fy, 1, axis=1) - fy
+
+    def project(v):
+        v -= v.mean()
+        return v
+
+    b = rng.standard_normal((n, n))
+    pre = periodic_fft_preconditioner((n, n), 1.5)
+    results = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(solvers, "_WORKERS", workers)
+        results[workers] = pcg(op, b, pre, rtol=1e-8, maxiter=500,
+                               project=project)
+    (x2, info2), (x1, info1) = results[2], results[1]
+    assert info1.iterations > 1
+    assert info2 == info1
+    assert np.array_equal(x2, x1)
+
+
+def test_core_radius_energy_threads_are_bit_identical(monkeypatch):
+    n = 512  # threaded operator, updates and mask restriction
+    assert n * n >= solvers._THREADED_MIN_SIZE
+    unit = Rectangle((0.0, 0.0), (1.0, 1.0))
+    mu = VortexMeasure((((0.43, 0.52), 1), ((0.7, 0.3), -1)), unit)
+    params = gl_solver.GLParameters(
+        0.05, 0.05, CHECKER, CartesianGrid((0.0, 0.0), (1.0, 1.0), (16, 16)))
+    results = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(solvers, "_WORKERS", workers)
+        results[workers] = gl_solver.core_radius_energy(mu, params, n=n)
+    (e2, info2), (e1, info1) = results[2], results[1]
+    assert info1.iterations > 1
+    assert e2 == e1
+    assert info2 == info1
+
+
+def test_row_blocks_from_many_threads_cover_every_row_once(monkeypatch):
+    # more callers and workers than cores, with frequent thread switches:
+    # each caller's rows must be touched exactly once per call
+    monkeypatch.setattr(solvers, "_WORKERS", 4)
+    arrays = [np.zeros((512, 512)) for _ in range(6)]
+    calls = 5
+
+    def caller(a):
+        def bump(i0, i1):
+            a[i0:i1] += 1.0
+
+        for _ in range(calls):
+            solvers._row_blocks(a, bump)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(a,)) for a in arrays]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a in arrays:
+        assert np.all(a == calls)

@@ -35,8 +35,6 @@ from .fields import (
     PolarGrid,
     ScalarField2D,
     VectorField2D,
-    dirichlet_energy,
-    gradient,
     integrate,
 )
 from .solvers import SolverError
@@ -95,9 +93,7 @@ __all__ = [
     "PolarGrid",
     "ScalarField2D",
     "VectorField2D",
-    "gradient",
     "integrate",
-    "dirichlet_energy",
     "HomogenizedTensor",
     "CorrectorSolution",
     "TensorRefinement",

@@ -9,9 +9,9 @@ For a 1-periodic scalar coefficient a(y), the effective (homogenized)
 one quadratic minimization per direction xi.  The discretization is
 cell-centered finite volumes with harmonic averaging of a at cell faces
 (the standard choice for discontinuous coefficients; arithmetic averaging
-biases checkerboard-type fields high).  The periodic singular system is
-solved by FFT-preconditioned conjugate gradients with a mean-zero
-projection every iteration.
+biases checkerboard-type fields high).  The periodic singular system, a
+periodic `solvers.FaceOperator`, is solved by FFT-preconditioned conjugate
+gradients with a mean-zero projection every iteration.
 
 Off-diagonal entries come from polarization:
 a12 = (E(e1+e2) - E(e1) - E(e2)) / 2.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import PeriodicCoefficient
 from .fields import CartesianGrid, ScalarField2D
-from .solvers import SolverError, pcg, periodic_fft_preconditioner
+from .solvers import FaceOperator, SolverError, pcg, periodic_fft_preconditioner
 
 __all__ = [
     "HomogenizedTensor",
@@ -133,7 +133,9 @@ def solve_corrector(
     """Minimize the cell quadratic form for direction xi on an n x n grid.
 
     Equivalently solves div(a (xi + grad phi)) = 0 with periodic boundary
-    conditions, to relative residual `rtol`, by preconditioned CG.  The
+    conditions, to relative residual `rtol`, by CG on the periodic
+    `solvers.FaceOperator` of the harmonic face weights, preconditioned by
+    the inverse of the constant-coefficient operator (2-d real FFT).  The
     returned energy is the quadratic form at the minimizer, i.e. the value
     <A_hom xi, xi> up to discretization error.
     """
@@ -143,15 +145,8 @@ def solve_corrector(
     wx, wy = _face_weights(coeff, n)
     gx = h * float(xi[0])
     gy = h * float(xi[1])
-
-    def apply_a(phi: np.ndarray) -> np.ndarray:
-        fx = wx * (np.roll(phi, -1, axis=0) - phi)
-        fy = wy * (np.roll(phi, -1, axis=1) - phi)
-        return -(fx - np.roll(fx, 1, axis=0)) - (fy - np.roll(fy, 1, axis=1))
-
-    tx = wx * gx
-    ty = wy * gy
-    b = (tx - np.roll(tx, 1, axis=0)) + (ty - np.roll(ty, 1, axis=1))
+    operator = FaceOperator(wx, wy)
+    b = operator.rhs(gx, gy)
 
     abar = 0.5 * float(wx.mean() + wy.mean())
     precond = periodic_fft_preconditioner((n, n), abar)
@@ -161,7 +156,7 @@ def solve_corrector(
         return v
 
     try:
-        phi, info = pcg(apply_a, b, precond, rtol=rtol, maxiter=50 * n,
+        phi, info = pcg(operator.apply, b, precond, rtol=rtol, maxiter=50 * n,
                         project=project)
     except SolverError as exc:
         raise SolverError(
@@ -171,9 +166,7 @@ def solve_corrector(
             iterations=exc.iterations,
         ) from exc
 
-    dx = np.roll(phi, -1, axis=0) - phi
-    dy = np.roll(phi, -1, axis=1) - phi
-    energy = float(np.sum(wx * (dx + gx) ** 2) + np.sum(wy * (dy + gy) ** 2))
+    energy = operator.energy(phi, gx, gy)
     field = ScalarField2D(_cell_center_grid(n), phi)
     return CorrectorSolution(field, (float(xi[0]), float(xi[1])), energy,
                              info.relative_residual, info.iterations)

@@ -34,6 +34,7 @@ from .experiments import (
     _is_number,
     _number,
     _positive,
+    _read_config,
     _require_keys,
     coefficient_from_spec,
     emit_report,
@@ -55,24 +56,6 @@ from .vortex_analysis import VortexMeasure, flat_distance
 __all__ = ["main"]
 
 
-def _load_json(path: Optional[str]) -> dict:
-    if path is None:
-        raise ConfigError("--config is required for this subcommand")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be an object")
-    return data
-
-
 def _write_json(payload: Any, out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -83,7 +66,7 @@ def _write_json(payload: Any, out_dir: str, name: str) -> str:
 
 
 def _cmd_cell(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
+    data = _read_config(args.config)
     _require_keys(data, {"coefficient", "resolution", "resolutions"},
                   {"coefficient"}, "top level")
     coeff = coefficient_from_spec(data["coefficient"])
@@ -148,7 +131,7 @@ def _tensor_from_spec(spec: Any, where: str = "tensor") -> HomogenizedTensor:
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
+    data = _read_config(args.config)
     if "delta" in data:
         mode = "oscillating"
     elif "tensor" in data:
@@ -230,7 +213,7 @@ _MINIMIZE_KEYS = {
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
+    data = _read_config(args.config)
     _require_keys(data, _MINIMIZE_KEYS, {"coefficient", "vortices"}, "top level")
     coeff = coefficient_from_spec(data["coefficient"])
     epsilon = _positive(data, "epsilon", "top level", 2.0**-6)
@@ -260,7 +243,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         noise = 1e-3 * rng.standard_normal(v0.values.shape)
         noise[0, :] = noise[-1, :] = 0.0
         noise[:, 0] = noise[:, -1] = 0.0
-        v0 = type(v0)(v0.grid, v0.values + noise, s1_valued=False)
+        v0 = type(v0)(v0.grid, v0.values + noise)
     budget = MinimizeBudget(max_iterations=max_iterations)
     initial = gl_energy(v0, params)
     report = minimize_gl(v0, params, budget)
@@ -300,7 +283,7 @@ _BALL_KEYS = {"x", "y", "radius", "weight"}
 
 
 def _cmd_balls(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
+    data = _read_config(args.config)
     _require_keys(data, {"balls", "t_final"}, {"balls"}, "top level")
     entries = data["balls"]
     if not isinstance(entries, list) or not entries:
@@ -351,7 +334,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_flat(args: argparse.Namespace) -> int:
-    data = _load_json(args.config) if args.config else {}
+    data = _read_config(args.config) if args.config else {}
     _require_keys(data, {"domain"}, set(), "top level")
     domain = _domain_from_spec(data.get("domain"))
     try:

@@ -332,8 +332,10 @@ def _regime_from_spec(spec: Any, where: str) -> tuple[str, float]:
     )
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate a study config; ConfigError carries the location."""
+def _read_config(path: str) -> dict:
+    """The JSON object in the file at `path`, the loader of every config;
+    ConfigError when the file cannot be read, is not JSON or holds no
+    object."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
@@ -348,6 +350,12 @@ def parse_config(path: str) -> ExperimentConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
+    return data
+
+
+def parse_config(path: str) -> ExperimentConfig:
+    """Read and validate a study config; ConfigError carries the location."""
+    data = _read_config(path)
     allowed = {
         "coefficient", "vortices", "domain", "regime", "epsilons",
         "channel", "solver", "label",
@@ -467,7 +475,7 @@ def _measure_one(
                     noise = 1e-3 * rng.standard_normal(v.values.shape)
                     noise[0, :] = noise[-1, :] = 0.0
                     noise[:, 0] = noise[:, -1] = 0.0
-                    v = type(v)(v.grid, v.values + noise, s1_valued=False)
+                    v = type(v)(v.grid, v.values + noise)
                 report = minimize_gl(
                     v, params, MinimizeBudget(max_iterations=config.max_iterations)
                 )

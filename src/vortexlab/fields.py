@@ -1,4 +1,4 @@
-"""Discretization substrate: grids, scalar/vector fields, calculus, quadrature.
+"""Discretization substrate: grids, scalar/vector fields, quadrature.
 
 Two grid families cover every computation in the package:
 
@@ -11,29 +11,23 @@ Two grid families cover every computation in the package:
     where the energy lives.
 
 Scalar fields may declare a constant jump across the angular seam of a
-polar grid (the discrete form of a multivalued angle lifting); gradient
-stencils unwrap the seam using that jump.  Vector fields may carry a node
-mask; masked nodes are excluded from quadrature and stencils fall back to
-one-sided differences at mask boundaries.
+polar grid (the discrete form of a multivalued angle lifting).  Vector
+fields may carry a node mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .coefficients import PeriodicCoefficient
 
 __all__ = [
     "CartesianGrid",
     "PolarGrid",
     "ScalarField2D",
     "VectorField2D",
-    "gradient",
     "integrate",
-    "dirichlet_energy",
     "export_csv",
 ]
 
@@ -167,13 +161,11 @@ class ScalarField2D:
 
 @dataclass
 class VectorField2D:
-    """Two-component nodal field, optionally masked and optionally flagged
-    as unit-circle valued (|v| = 1 within a tolerance tube, metadata only)."""
+    """Two-component nodal field, optionally masked."""
 
     grid: Grid
     values: np.ndarray
     mask: Optional[np.ndarray] = None
-    s1_valued: bool = False
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -185,102 +177,6 @@ class VectorField2D:
                     f"mask shape {self.mask.shape} does not match grid "
                     f"{self.grid.node_shape}"
                 )
-
-
-# -- differential operators ----------------------------------------------------
-
-
-def _masked_diff(values: np.ndarray, coord: np.ndarray, axis: int,
-                 active: np.ndarray) -> np.ndarray:
-    """d(values)/d(coord) along `axis`, one-sided at mask boundaries.
-
-    `coord` is the 1-d coordinate array for `axis` (uniform or not).
-    Inactive nodes get derivative 0.
-    """
-    v = np.moveaxis(values, axis, 0)
-    act = np.moveaxis(active, axis, 0)
-    n = v.shape[0]
-    dc = np.diff(coord)
-    out = np.zeros_like(v)
-
-    fwd = np.zeros_like(v)
-    fwd_ok = np.zeros_like(act)
-    fwd[:-1] = (v[1:] - v[:-1]) / dc[:, None] if v.ndim == 2 else (v[1:] - v[:-1]) / dc
-    fwd_ok[:-1] = act[:-1] & act[1:]
-
-    bwd = np.zeros_like(v)
-    bwd_ok = np.zeros_like(act)
-    bwd[1:] = fwd[:-1]
-    bwd_ok[1:] = fwd_ok[:-1]
-
-    both = fwd_ok & bwd_ok
-    # central difference on nonuniform grids: weighted combination that is
-    # exact for quadratics
-    if np.any(both):
-        hp = np.zeros(n)
-        hm = np.zeros(n)
-        hp[:-1] = dc
-        hm[1:] = dc
-        wgt_f = (hm / (hp + hm + (hp + hm == 0)))[:, None] if v.ndim == 2 else \
-            hm / (hp + hm + (hp + hm == 0))
-        out = np.where(both, wgt_f * fwd + (1.0 - wgt_f) * bwd, out)
-    out = np.where(fwd_ok & ~bwd_ok, fwd, out)
-    out = np.where(bwd_ok & ~fwd_ok, bwd, out)
-    return np.moveaxis(out, 0, axis)
-
-
-def _scalar_gradient(grid: Grid, values: np.ndarray, jump: float,
-                     mask: Optional[np.ndarray]) -> np.ndarray:
-    """Gradient of nodal scalar values; returns array of shape (*, *, 2) in
-    physical components."""
-    if isinstance(grid, CartesianGrid):
-        if mask is None:
-            gx = np.gradient(values, grid.h, axis=0)
-            gy = np.gradient(values, grid.h, axis=1)
-        else:
-            x, y = grid.node_axes()
-            gx = _masked_diff(values, x, 0, mask)
-            gy = _masked_diff(values, y, 1, mask)
-        return np.stack([gx, gy], axis=-1)
-
-    rho = grid.rho()
-    if mask is None:
-        d_rho = np.gradient(values, rho, axis=0)
-    else:
-        d_rho = _masked_diff(values, rho, 0, mask)
-    # periodic central difference in theta, unwrapping the declared seam jump
-    vp = np.roll(values, -1, axis=1)
-    vm = np.roll(values, 1, axis=1)
-    if jump != 0.0:
-        vp = vp.copy()
-        vm = vm.copy()
-        vp[:, -1] += jump
-        vm[:, 0] -= jump
-    d_theta = (vp - vm) / (2.0 * grid.dtheta)
-    if mask is not None:
-        amp = np.roll(mask, -1, axis=1)
-        amm = np.roll(mask, 1, axis=1)
-        fwd = (vp - values) / grid.dtheta
-        bwd = (values - vm) / grid.dtheta
-        d_theta = np.where(amp & amm, d_theta,
-                           np.where(amp, fwd, np.where(amm, bwd, 0.0)))
-        d_theta = np.where(mask, d_theta, 0.0)
-        d_rho = np.where(mask, d_rho, 0.0)
-    return np.stack([d_rho, d_theta / rho[:, None]], axis=-1)
-
-
-def gradient(field: ScalarField2D,
-             mask: Optional[np.ndarray] = None) -> VectorField2D:
-    """Second-order gradient of a scalar field.
-
-    Central differences in the interior, one-sided at non-periodic
-    boundaries and next to masked-out nodes (mask True = valid).  On polar
-    grids the result holds physical components (d/d rho, (1/rho) d/d
-    theta) and the angular stencil is periodic, honoring any declared
-    seam jump.
-    """
-    g = _scalar_gradient(field.grid, field.values, field.jump, mask)
-    return VectorField2D(field.grid, g, mask=mask)
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -315,28 +211,6 @@ def integrate(density: ScalarField2D, mask: Optional[np.ndarray] = None) -> floa
     if mask is not None:
         w = np.where(mask, w, 0.0)
     return float(np.sum(w * vals))
-
-
-def dirichlet_energy(
-    w: VectorField2D, coeff: PeriodicCoefficient, delta: float
-) -> float:
-    """Weighted gradient energy: quadrature of a(x/delta) |grad w|^2.
-
-    The gradient of each component is evaluated with the same stencils as
-    `gradient`; masked nodes, if any, are excluded from the quadrature and
-    boundary-of-mask stencils degrade to one-sided differences.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    grid = w.grid
-    mask = w.mask
-    g1 = _scalar_gradient(grid, w.values[..., 0], 0.0, mask)
-    g2 = _scalar_gradient(grid, w.values[..., 1], 0.0, mask)
-    dens = np.sum(g1 * g1, axis=-1) + np.sum(g2 * g2, axis=-1)
-    xx, yy = grid.node_mesh()
-    pts = np.stack([xx, yy], axis=-1) / delta
-    a = coeff.eval(pts.reshape(-1, 2)).reshape(xx.shape)
-    return integrate(ScalarField2D(grid, dens * a), mask=mask)
 
 
 # -- export ---------------------------------------------------------------------

@@ -42,9 +42,8 @@ from .singularity_cost import (
     oscillating_annulus_grid,
 )
 from .solvers import (
+    FaceOperator,
     SolveInfo,
-    SolverError,
-    _row_blocks,
     active_projection,
     dct2_preconditioner,
     pcg,
@@ -302,25 +301,24 @@ def recovery_field(
 
     values = np.stack([modulus * np.cos(phase), modulus * np.sin(phase)],
                       axis=-1)
-    return VectorField2D(grid, values, s1_valued=True)
+    return VectorField2D(grid, values)
 
 
 # -- prescribed-degree proxy energy ------------------------------------------------
 
 
 def _superposition_gradient(
-    x: np.ndarray, y: np.ndarray, atoms
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the superposition of angle fields at given points."""
-    g1 = np.zeros_like(x)
-    g2 = np.zeros_like(x)
+    x: np.ndarray, y: np.ndarray, atoms, axis: int
+) -> np.ndarray:
+    """Component `axis` of the gradient of the superposition of angle fields
+    at given points."""
+    g = np.zeros_like(x)
     for (ax, ay), z in atoms:
         dx = x - ax
         dy = y - ay
         r2 = dx * dx + dy * dy
-        g1 += z * (-dy) / r2
-        g2 += z * dx / r2
-    return g1, g2
+        g += z * (-dy) / r2 if axis == 0 else z * dx / r2
+    return g
 
 
 def core_radius_energy(
@@ -338,12 +336,11 @@ def core_radius_energy(
     coefficient sampled at face midpoints, natural boundary conditions,
     DCT-preconditioned conjugate gradients on the active cells.
 
-    The operator is applied in cache-sized row chunks (`_row_blocks`): each
-    row takes its two x-face fluxes and its y-fluxes, so no grid-size flux
-    array exists, and grids of 512^2 cells or more spread the rows over
-    the process's threads.  The mask is applied by indexing the inactive
-    cells, the few inside the eps-disks.  Energy and `SolveInfo` are
-    bit-for-bit the same for every thread count.
+    The operator is `solvers.FaceOperator` with every face that touches an
+    inactive cell (inside an eps-disk) weighted 0; it runs in cache-sized
+    row chunks, threaded on grids of 512^2 cells or more.  The mask is
+    applied by indexing the inactive cells, the few inside the eps-disks.
+    Energy and `SolveInfo` are bit-for-bit the same for every thread count.
 
     Returns (energy, SolveInfo of the CG solve).
     """
@@ -378,53 +375,21 @@ def core_radius_energy(
     wy = coeff.eval(np.stack([fy1, fy2], axis=-1).reshape(-1, 2) / delta)
     wy = wy.reshape(n, n - 1) * (active[:, :-1] & active[:, 1:])
 
-    gx = h * _superposition_gradient(fx1, fx2, mu.atoms)[0]
-    gy = h * _superposition_gradient(fy1, fy2, mu.atoms)[1]
+    gx = h * _superposition_gradient(fx1, fx2, mu.atoms, 0)
+    gy = h * _superposition_gradient(fy1, fy2, mu.atoms, 1)
     # free the set-up grids before the solve buffers exist, so they do not
     # add to the peak
     del x1, x2, fx1, fx2, fy1, fy2
 
-    b = np.zeros((n, n))
-    t = wx * gx
-    b[:-1, :] += t
-    b[1:, :] -= t
-    t = wy * gy
-    b[:, :-1] += t
-    b[:, 1:] -= t
-    del t
-    b *= active
-
-    # the operator's output, reused by every CG iteration
-    out = np.empty((n, n))
-
-    def apply_a(phi: np.ndarray) -> np.ndarray:
-        def rows(i0: int, i1: int) -> None:
-            # x-fluxes through faces i0..i1 (face i lies below row i; the
-            # domain's end faces carry none), then row i gets
-            # fx[i] - fx[i+1] and its y-fluxes
-            lo, hi = max(i0, 1), min(i1, n - 1)
-            fx = np.zeros((i1 - i0 + 1, n))
-            np.multiply(wx[lo - 1:hi], phi[lo:hi + 1] - phi[lo - 1:hi],
-                        out=fx[lo - i0:hi - i0 + 1])
-            block = out[i0:i1]
-            np.subtract(fx[:-1], fx[1:], out=block)
-            fy = wy[i0:i1] * (phi[i0:i1, 1:] - phi[i0:i1, :-1])
-            block[:, :-1] -= fy
-            block[:, 1:] += fy
-
-        _row_blocks(out, rows)
-        return out
-
+    operator = FaceOperator(wx, wy)
+    b = operator.rhs(gx, gy)
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
     precond = dct2_preconditioner((n, n), abar, restrict=active)
     project = active_projection(active)
 
-    phi, info = pcg(apply_a, b, precond, rtol=rtol, maxiter=50 * n,
+    phi, info = pcg(operator.apply, b, precond, rtol=rtol, maxiter=50 * n,
                     project=project)
-    dx = phi[1:, :] - phi[:-1, :]
-    dy = phi[:, 1:] - phi[:, :-1]
-    energy = float(np.sum(wx * (dx + gx) ** 2) + np.sum(wy * (dy + gy) ** 2))
-    return energy, info
+    return operator.energy(phi, gx, gy), info
 
 
 # -- minimization ---------------------------------------------------------------------

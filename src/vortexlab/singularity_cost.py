@@ -19,11 +19,11 @@ form conformally flat, so both solvers work on a plain rectangle:
     sampled at face midpoints.  The midpoint rule is exactly self-dual
     under a -> alpha*beta/a for two-valued coefficients, which keeps the
     effective behavior of under-resolved fine structure unbiased, unlike
-    one-sided averaging of cell values.  CG preconditioned by the exact
-    inverse of the constant-coefficient operator: real FFT along theta and,
-    along s, DCT-II for free circles or DST-II for a fixed trace (whose
-    half-cell Dirichlet rows it diagonalizes), so both boundary kinds take
-    about as many iterations.
+    one-sided averaging of cell values.  CG on that `solvers.FaceOperator`,
+    preconditioned by the exact inverse of the constant-coefficient
+    operator: real FFT along theta and, along s, DCT-II for free circles or
+    DST-II for a fixed trace (whose half-cell Dirichlet rows it
+    diagonalizes), so both boundary kinds take about as many iterations.
   * homogenized mode: bilinear (Q1) finite elements with exact 2x2 Gauss
     element integration of the rotated tensor Q(theta)^T A Q(theta); the
     exact integration leaves no spurious zero-energy (hourglass) modes.
@@ -52,6 +52,7 @@ from .cell_problem import HomogenizedTensor
 from .coefficients import PeriodicCoefficient
 from .fields import PolarGrid, ScalarField2D
 from .solvers import (
+    FaceOperator,
     SolverError,
     mixed_dct_fft_preconditioner,
     pcg,
@@ -143,7 +144,12 @@ def oscillating_annulus_grid(
 
 
 def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
-    """Returns (energy, nodal phi) for the oscillating-coefficient mode."""
+    """Returns (energy, nodal phi) for the oscillating-coefficient mode.
+
+    The cells are a (log-radius, angle) grid, natural or pinned along the
+    radius and periodic along the angle; the solve is CG on that
+    `solvers.FaceOperator`, preconditioned by `mixed_dct_fft_preconditioner`.
+    """
     grid = problem.grid
     coeff = problem.coefficient
     delta = problem.delta
@@ -177,34 +183,12 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
     ct = ds / dt
     ws *= cs
     wt *= ct
-    if problem.fixed_trace:
-        # half-cell Dirichlet: boundary faces at the circles, phi = 0 there
-        wb = 2.0 * cs * coeff_at(np.array([s0, s0 + length]), tc)  # (2, nt)
-
-    out = np.empty((ns, nt))
-    fs = np.empty((ns - 1, nt))
-    ft = np.empty((ns, nt))
-
-    def apply_a(phi: np.ndarray) -> np.ndarray:
-        # angular fluxes ft[:, k] = wt[:, k] (phi[:, k+1] - phi[:, k]), wrapped
-        np.subtract(phi[:, 1:], phi[:, :-1], out=ft[:, :-1])
-        np.subtract(phi[:, :1], phi[:, -1:], out=ft[:, -1:])
-        np.multiply(ft, wt, out=ft)
-        out[:, 1:] = ft[:, :-1]
-        out[:, :1] = ft[:, -1:]
-        np.subtract(out, ft, out=out)
-        np.subtract(phi[1:], phi[:-1], out=fs)
-        np.multiply(fs, ws, out=fs)
-        out[:-1] -= fs
-        out[1:] += fs
-        if problem.fixed_trace:
-            row = ft[0]
-            out[0] += np.multiply(wb[0], phi[0], out=row)
-            out[-1] += np.multiply(wb[1], phi[-1], out=row)
-        return out
-
-    g = wt * (z * dt)
-    b = g - np.roll(g, 1, axis=1)
+    # half-cell Dirichlet faces at the circles of a fixed trace, phi = 0 there
+    pinned = (2.0 * cs * coeff_at(np.array([s0, s0 + length]), tc)
+              if problem.fixed_trace else None)  # (2, nt)
+    operator = FaceOperator(ws, wt, pinned)
+    gt = z * dt
+    b = operator.rhs(0.0, gt)
 
     precond = mixed_dct_fft_preconditioner(
         (ns, nt), abar * cs, abar * ct, pinned=problem.fixed_trace)
@@ -216,9 +200,9 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
             return v
 
     try:
-        phi, info = pcg(
-            apply_a, b, precond, rtol=1e-8, maxiter=max(50 * max(ns, nt), 2000),
-            project=project,
+        phi, _ = pcg(
+            operator.apply, b, precond, rtol=1e-8,
+            maxiter=max(50 * max(ns, nt), 2000), project=project,
         )
     except SolverError as exc:
         raise SolverError(
@@ -226,11 +210,7 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
             residual=exc.residual, iterations=exc.iterations,
         ) from exc
 
-    dps = phi[1:, :] - phi[:-1, :]
-    dpt = np.roll(phi, -1, axis=1) - phi
-    energy = float(np.sum(ws * dps**2) + np.sum(wt * (dpt + z * dt) ** 2))
-    if problem.fixed_trace:
-        energy += float(np.sum(wb * phi[[0, -1], :] ** 2))
+    energy = operator.energy(phi, 0.0, gt)
 
     # cell-centered phi -> nodal phi by adjacent-cell averaging
     ext = np.concatenate([phi[:1, :], phi, phi[-1:, :]], axis=0)  # (ns+2, nt)

@@ -1,25 +1,37 @@
 """Matrix-free preconditioned conjugate gradients on structured grids.
 
-Every elliptic solve in the package is a five-point finite-volume operator
-or a bilinear (Q1) finite-element one on a rectangular index grid
-(periodic, reflective, pinned or masked boundaries), so a single CG routine
-plus a family of spectral preconditioners covers all of them.  The
-preconditioners invert the constant-coefficient analogue of the operator
-with the transform that diagonalizes it:
+Every elliptic solve in the package is one weighted Dirichlet problem on a
+rectangular index grid, and this module holds one of each part:
 
-  * periodic x periodic       -> 2-d real FFT
-  * reflective x periodic     -> DCT-II along the reflective axis, real
-                                 FFT along the periodic one
-  * pinned x periodic         -> DST-II along the pinned axis (half-cell
-                                 Dirichlet rows, exact), real FFT along
-                                 the periodic one
-  * reflective x reflective   -> 2-d DCT-II (also used for masked grids,
-                                 where it preconditions the zero-filled
-                                 extension)
-  * Q1 nodes, free x periodic -> DCT-I along the free axis (end rows
-                                 doubled), real FFT along the periodic one
-  * Q1 nodes, pinned x periodic -> DST-I on the interior nodes, real FFT
-                                 along the periodic one
+  * `FaceOperator`: the finite-volume operator -div(w grad) of given face
+    weights (any mask or geometric factor folded in), with its right-hand
+    side and energy.  The face counts per axis set the boundary (periodic
+    or natural), and optional half-cell Dirichlet rows pin axis 0.  The
+    cell corrector, the oscillating annulus and the core-radius proxy all
+    use it.
+  * `pcg`: preconditioned CG with an optional projection.
+  * `_spectral_inverse`: the exact inverse of a separable operator
+    scale * (K0 (x) M1 + M0 (x) K1), given per axis the transform that
+    diagonalizes the 1-d stiffness K and mass M and their eigenvalues
+    (Concus & Golub's fast-solver preconditioning).  The four
+    preconditioner factories are constructors of it:
+
+      factory                         axis 0                axis 1      M
+      `periodic_fft_preconditioner`   periodic cells        periodic    I
+      `mixed_dct_fft_preconditioner`  reflective or pinned  periodic    I
+      `dct2_preconditioner`           reflective cells      reflective  I
+      `q1_node_preconditioner`        free or pinned nodes  periodic    Q1
+
+    with one transform per boundary kind:
+
+      periodic cells or nodes             -> real FFT
+      reflective cells                    -> DCT-II
+      pinned cells (half-cell Dirichlet)  -> DST-II
+      free nodes (end rows doubled)       -> DCT-I
+      pinned nodes (interior nodes only)  -> DST-I
+
+    `dct2_preconditioner` also serves masked grids: it inverts the
+    zero-filled extension and restricts the result to the active cells.
 
 Periodic axes use the real-input FFT: the data are real, so only the
 n//2 + 1 nonnegative frequencies are transformed and divided.  All
@@ -30,10 +42,11 @@ on the relevant subspace.
 Work on arrays of 512 x 512 points or more runs on as many threads as the
 process may use (its CPU affinity, read once at import); smaller arrays
 stay on one thread, where starting threads costs more than it saves.  This
-covers the transforms and the elementwise work of a solve: CG's vector
-updates, the eigenvalue division, mask restrictions and operators that opt
-in through `_row_blocks`.  Elementwise work is also done in cache-sized
-row chunks, so a chain of updates reads and writes each large array once.
+covers the transforms and the elementwise work of a solve, all through
+`_row_blocks`: CG's vector updates, the eigenvalue division, mask
+restrictions and the face operator.  Elementwise work is also done in
+cache-sized row chunks, so a chain of updates reads and writes each large
+array once.
 Each 1-d transform and each element is computed the same way whatever the
 thread count, and every reduction (inner products, sums) runs over the
 whole array on one thread, so the results are bit-for-bit identical.
@@ -54,6 +67,7 @@ import scipy.fft as sfft
 __all__ = [
     "SolverError",
     "SolveInfo",
+    "FaceOperator",
     "pcg",
     "active_projection",
     "periodic_fft_preconditioner",
@@ -273,38 +287,221 @@ def pcg(
     )
 
 
-def _eig_periodic(n: int) -> np.ndarray:
-    return 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+# -- the operator -------------------------------------------------------------
 
 
-def _eig_reflective(n: int) -> np.ndarray:
-    return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+class FaceOperator:
+    """The weighted five-point operator A = -div(w grad) on a grid of cells,
+    given by its face weights.
+
+    `wx[i, j]` weights the face between cells (i, j) and (i + 1, j), `wy[i, j]`
+    the face between (i, j) and (i, j + 1); any mask or geometric factor is
+    already folded in.  The face counts set each axis's boundary: an axis
+    with as many faces as cells is periodic (its last face joins the last
+    cell to the first), one with a face fewer has natural (zero-flux) ends.
+    `pinned`, of shape (2, n1), weights the half-cell Dirichlet faces to a
+    zero trace beyond the first and the last row of axis 0.
+
+    With face data g (already times h), `energy` is
+    E(phi) = sum w (d phi + g)^2 + sum pinned phi_end^2, over the faces d phi
+    of phi; its minimizer solves A phi = `rhs(gx, gy)`, and its gradient is
+    2 (A phi - b).
+    """
+
+    def __init__(self, wx: np.ndarray, wy: np.ndarray,
+                 pinned: Optional[np.ndarray] = None) -> None:
+        self.wx, self.wy, self.pinned = wx, wy, pinned
+        self.shape = (wy.shape[0], wx.shape[1])
+        self._out = np.empty(self.shape)
+
+    def apply(self, phi: np.ndarray) -> np.ndarray:
+        """A phi, into an output array that every call reuses.
+
+        Runs in cache-sized row chunks (`_row_blocks`): each row takes its two
+        axis-0 fluxes and its axis-1 fluxes, so no grid-size flux array
+        exists, and grids of 512^2 cells or more spread the rows over the
+        process's threads with bit-identical results."""
+        wx, wy, pinned, out = self.wx, self.wy, self.pinned, self._out
+        n0, n1 = self.shape
+        m1 = wy.shape[1]
+
+        def rows(i0: int, i1: int) -> None:
+            # fluxes through faces i0..i1 of axis 0 (face i lies below row
+            # i; the end faces are the wrapped one or carry none), then row
+            # i gets fx[i] - fx[i+1] and its axis-1 fluxes
+            lo, hi = max(i0, 1), min(i1, n0 - 1)
+            fx = np.zeros((i1 - i0 + 1, n1))
+            np.multiply(wx[lo - 1:hi], phi[lo:hi + 1] - phi[lo - 1:hi],
+                        out=fx[lo - i0:hi - i0 + 1])
+            if len(wx) == n0 and (i0 == 0 or i1 == n0):
+                wrapped = wx[-1] * (phi[0] - phi[-1])
+                if i0 == 0:
+                    fx[0] = wrapped
+                if i1 == n0:
+                    fx[-1] = wrapped
+            block = out[i0:i1]
+            np.subtract(fx[:-1], fx[1:], out=block)
+            fy = _differences(phi[i0:i1], 1, m1)
+            fy *= wy[i0:i1]
+            block[:, :m1] -= fy
+            block[:, 1:] += fy[:, :n1 - 1]
+            if m1 == n1:
+                block[:, 0] += fy[:, -1]
+            if pinned is not None:
+                if i0 == 0:
+                    block[0] += pinned[0] * phi[0]
+                if i1 == n0:
+                    block[-1] += pinned[1] * phi[-1]
+
+        _row_blocks(out, rows)
+        return out
+
+    def rhs(self, gx, gy) -> np.ndarray:
+        """b with b[i] = t[i] - t[i-1] along each axis, t = w g the flux of
+        the face data (arrays of face shape or scalars)."""
+        b = np.zeros(self.shape)
+        for axis, w, g in ((0, self.wx, gx), (1, self.wy, gy)):
+            t = np.moveaxis(w * g, axis, 0)
+            bt = np.moveaxis(b, axis, 0)
+            n = len(bt)
+            bt[:len(t)] += t
+            bt[1:] -= t[:n - 1]
+            if len(t) == n:
+                bt[0] -= t[-1]
+        return b
+
+    def energy(self, phi: np.ndarray, gx, gy) -> float:
+        """sum w (d phi + g)^2 over the faces, plus the pinned faces' term."""
+        dx = _differences(phi, 0, len(self.wx))
+        dy = _differences(phi, 1, self.wy.shape[1])
+        energy = float(np.sum(self.wx * (dx + gx) ** 2)
+                       + np.sum(self.wy * (dy + gy) ** 2))
+        if self.pinned is not None:
+            energy += float(np.sum(self.pinned * phi[[0, -1], :] ** 2))
+        return energy
 
 
-def _eig_pinned(n: int) -> np.ndarray:
-    return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / n)
+def _differences(phi: np.ndarray, axis: int, faces: int) -> np.ndarray:
+    """phi[i+1] - phi[i] along `axis` (0 or 1) for i < `faces`; with as many
+    faces as cells the last one wraps, phi[0] - phi[-1]."""
+    n = phi.shape[axis]
+    d = np.empty((faces, phi.shape[1]) if axis == 0 else (len(phi), faces))
+    lead = (slice(None),) * axis
+    np.subtract(phi[lead + (slice(1, None),)], phi[lead + (slice(None, -1),)],
+                out=d[lead + (slice(None, n - 1),)])
+    if faces == n:
+        np.subtract(phi[lead + (slice(None, 1),)], phi[lead + (slice(-1, None),)],
+                     out=d[lead + (slice(n - 1, None),)])
+    return d
+
+
+# -- spectral inverses --------------------------------------------------------
+
+
+#: Mode p of an n-point axis has the angular frequency c (p + p0) / (n + dn)
+#: of its transform's rule (c, p0, dn).
+_FREQUENCIES = {
+    "rfft": (2.0 * math.pi, 0, 0),
+    "dct2": (math.pi, 0, 0),
+    "dst2": (math.pi, 1, 0),
+    "dct1": (math.pi, 0, -1),
+    "dst1": (math.pi, 1, 1),
+}
+
+#: The real transforms as (forward, inverse, type).
+_REAL_TRANSFORMS = {
+    "dct2": (sfft.dctn, sfft.idctn, 2),
+    "dst2": (sfft.dstn, sfft.idstn, 2),
+    "dct1": (sfft.dctn, sfft.idctn, 1),
+    "dst1": (sfft.dstn, sfft.idstn, 1),
+}
+
+
+def _frequencies(transform: str, n: int) -> np.ndarray:
+    c, p0, dn = _FREQUENCIES[transform]
+    return c * np.arange(p0, n + p0) / (n + dn)
+
+
+def _fv_axis(transform: str, n: int, coeff: float = 1.0):
+    """(transform, stiffness, mass eigenvalues) of a finite-volume axis:
+    coeff (2 - 2 cos w) and 1."""
+    k = coeff * (2.0 - 2.0 * np.cos(_frequencies(transform, n)))
+    return transform, k, np.ones(n)
+
+
+def _q1_axis(transform: str, n: int, h: float):
+    """(transform, stiffness, mass eigenvalues) of a linear-element axis of
+    spacing h: (2 - 2 cos w) / h and h (2 + cos w) / 3."""
+    w = _frequencies(transform, n)
+    return transform, (2.0 - 2.0 * np.cos(w)) / h, h * (2.0 + np.cos(w)) / 3.0
+
+
+def _spectral_inverse(shape: tuple[int, int], axes, scale: float
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse of scale * (K0 (x) M1 + M0 (x) K1), given per axis the
+    (transform, stiffness eigenvalues, mass eigenvalues) of K and M.
+
+    The real transform runs first, in one call over every axis that has it
+    (two real axes must share it), then the real-input FFT over the
+    periodic axes, which keeps the n1 // 2 + 1 nonnegative frequencies of
+    axis 1 (so a periodic axis 0 needs a periodic axis 1).  When no axis is
+    pinned, the constant mode, whose eigenvalue is exactly 0, is projected
+    out."""
+    (t0, k0, m0), (t1, k1, m1) = axes
+    transforms = (t0, t1)
+    real = tuple(a for a in (0, 1) if transforms[a] != "rfft")
+    periodic = tuple(a for a in (0, 1) if transforms[a] == "rfft")
+    if len({transforms[a] for a in real}) > 1 or periodic == (0,):
+        raise ValueError(f"unsupported transforms {transforms}")
+    if periodic:
+        keep = shape[1] // 2 + 1
+        k1, m1 = k1[:keep], m1[:keep]
+    ell = scale * (np.multiply.outer(k0, m1) + np.multiply.outer(m0, k1))
+    singular = ell[0, 0] == 0.0
+    if singular:
+        ell[0, 0] = 1.0
+    if real:
+        forward, inverse, type_ = _REAL_TRANSFORMS[transforms[real[0]]]
+    ends = None
+    if "dct1" in transforms:
+        # free-end nodes: DCT-I diagonalizes K and M with their end rows doubled
+        ends = np.ones([n if a in real else 1 for a, n in enumerate(shape)])
+        for a in real:
+            np.moveaxis(ends, a, 0)[[0, -1]] *= 2.0
+    sizes = [shape[a] for a in periodic]
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        workers = _workers(r)
+        w = r if ends is None else r * ends
+        if real:
+            w = forward(w, type=type_, axes=real, overwrite_x=w is not r,
+                        workers=workers)
+        if periodic:
+            w = sfft.rfftn(w, axes=periodic, workers=workers)
+
+        def divide(i0: int, i1: int) -> None:
+            w[i0:i1] /= ell[i0:i1]
+
+        _row_blocks(w, divide)
+        if singular:
+            w[0, 0] = 0.0
+        if periodic:
+            w = sfft.irfftn(w, s=sizes, axes=periodic, overwrite_x=True,
+                            workers=workers)
+        if real:
+            w = inverse(w, type=type_, axes=real, overwrite_x=True,
+                        workers=workers)
+        return w
+
+    return apply
 
 
 def periodic_fft_preconditioner(
     shape: tuple[int, int], scale: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse of scale * (periodic 5-point Laplacian), zero mode projected.
-
-    The eigenvalues along axis 0 cover every frequency; along axis 1 only
-    the nonnegative ones that `rfft2` keeps."""
-    lam0 = _eig_periodic(shape[0])
-    lam1 = _eig_periodic(shape[1])[: shape[1] // 2 + 1]
-    ell = scale * (lam0[:, None] + lam1[None, :])
-    ell[0, 0] = 1.0
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        workers = _workers(r)
-        rh = sfft.rfft2(r, workers=workers)
-        rh /= ell
-        rh[0, 0] = 0.0
-        return sfft.irfft2(rh, s=shape, overwrite_x=True, workers=workers)
-
-    return apply
+    """Inverse of scale * (periodic 5-point Laplacian), zero mode projected."""
+    return _spectral_inverse(
+        shape, (_fv_axis("rfft", shape[0]), _fv_axis("rfft", shape[1])), scale)
 
 
 def mixed_dct_fft_preconditioner(
@@ -321,25 +518,9 @@ def mixed_dct_fft_preconditioner(
     is singular; its constant mode is projected out, so pair it with a
     mean-zero projection.  The pinned one is definite and nothing is
     projected."""
-    n0, n1 = shape
-    lam0 = _eig_pinned(n0) if pinned else _eig_reflective(n0)
-    lam1 = _eig_periodic(n1)[: n1 // 2 + 1]  # the frequencies rfft keeps
-    ell = coeff_axis0 * lam0[:, None] + coeff_axis1 * lam1[None, :]
-    if not pinned:
-        ell[0, 0] = 1.0
-    forward, inverse = (sfft.dst, sfft.idst) if pinned else (sfft.dct, sfft.idct)
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        workers = _workers(r)
-        w = forward(r, type=2, axis=0, workers=workers)
-        w = sfft.rfft(w, axis=1, workers=workers)
-        w /= ell
-        if not pinned:
-            w[0, 0] = 0.0
-        w = sfft.irfft(w, n=n1, axis=1, overwrite_x=True, workers=workers)
-        return inverse(w, type=2, axis=0, overwrite_x=True, workers=workers)
-
-    return apply
+    axis0 = _fv_axis("dst2" if pinned else "dct2", shape[0], coeff_axis0)
+    return _spectral_inverse(
+        shape, (axis0, _fv_axis("rfft", shape[1], coeff_axis1)), 1.0)
 
 
 def dct2_preconditioner(
@@ -353,25 +534,12 @@ def dct2_preconditioner(
     (`active_projection`), which keeps the preconditioner symmetric
     positive definite on the masked subspace.
     """
-    lam1 = _eig_reflective(shape[0])
-    lam2 = _eig_reflective(shape[1])
-    ell = scale * (lam1[:, None] + lam2[None, :])
-    ell[0, 0] = 1.0
-    project = active_projection(restrict) if restrict is not None else None
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        workers = _workers(r)
-        w = sfft.dctn(r, type=2, workers=workers)
-
-        def divide(i0: int, i1: int) -> None:
-            w[i0:i1] /= ell[i0:i1]
-
-        _row_blocks(w, divide)
-        w[0, 0] = 0.0
-        w = sfft.idctn(w, type=2, overwrite_x=True, workers=workers)
-        return w if project is None else project(w)
-
-    return apply
+    apply = _spectral_inverse(
+        shape, (_fv_axis("dct2", shape[0]), _fv_axis("dct2", shape[1])), scale)
+    if restrict is None:
+        return apply
+    project = active_projection(restrict)
+    return lambda r: project(apply(r))
 
 
 def q1_node_preconditioner(
@@ -395,34 +563,6 @@ def q1_node_preconditioner(
         only, w = pi p / (n0 + 1), p = 1..n0): DST-I.  The operator is
         definite and nothing is projected.
     """
-    n0, n1 = shape
-    if pinned:
-        w0 = np.pi * np.arange(1, n0 + 1) / (n0 + 1)
-    else:
-        w0 = np.pi * np.arange(n0) / (n0 - 1)
-    w1 = 2.0 * np.pi * np.arange(n1 // 2 + 1) / n1
-    k0, m0 = (2.0 - 2.0 * np.cos(w0)) / h0, h0 * (2.0 + np.cos(w0)) / 3.0
-    k1, m1 = (2.0 - 2.0 * np.cos(w1)) / h1, h1 * (2.0 + np.cos(w1)) / 3.0
-    ell = scale * (k0[:, None] * m1[None, :] + m0[:, None] * k1[None, :])
-    if not pinned:
-        ell[0, 0] = 1.0
-        ends = np.ones((n0, 1))
-        ends[0] = ends[-1] = 2.0
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        workers = _workers(r)
-        if pinned:
-            w = sfft.dst(r, type=1, axis=0, workers=workers)
-        else:
-            w = sfft.dct(r * ends, type=1, axis=0, overwrite_x=True,
-                         workers=workers)
-        w = sfft.rfft(w, axis=1, workers=workers)
-        w /= ell
-        if not pinned:
-            w[0, 0] = 0.0
-        w = sfft.irfft(w, n=n1, axis=1, overwrite_x=True, workers=workers)
-        if pinned:
-            return sfft.idst(w, type=1, axis=0, overwrite_x=True, workers=workers)
-        return sfft.idct(w, type=1, axis=0, overwrite_x=True, workers=workers)
-
-    return apply
+    axis0 = _q1_axis("dst1" if pinned else "dct1", shape[0], h0)
+    return _spectral_inverse(
+        shape, (axis0, _q1_axis("rfft", shape[1], h1)), scale)

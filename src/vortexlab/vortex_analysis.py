@@ -1,7 +1,7 @@
 """Topological diagnostics for planar complex-valued fields.
 
-Covers the pointwise objects (Jacobian determinant, current, modulus-
-truncated Jacobian), the integer-valued ones (winding-number degree on
+Covers the pointwise objects (Jacobian determinant, modulus-truncated
+Jacobian), the integer-valued ones (winding-number degree on
 circles, per-plaquette vortex detection), atomic vortex measures, and the
 flat distance between two such measures.
 
@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from .fields import CartesianGrid, ScalarField2D, VectorField2D, _scalar_gradient
+from .fields import CartesianGrid, ScalarField2D, VectorField2D
 
 __all__ = [
     "Rectangle",
@@ -30,7 +30,6 @@ __all__ = [
     "DegreeResult",
     "FlatDistanceResult",
     "jacobian",
-    "current",
     "modified_jacobian",
     "degree",
     "boundary_degree",
@@ -165,14 +164,6 @@ def jacobian(v: VectorField2D) -> ScalarField2D:
     dy = 0.5 * (w[:-1, 1:] - w[:-1, :-1] + w[1:, 1:] - w[1:, :-1]) / h
     det = dx[..., 0] * dy[..., 1] - dx[..., 1] * dy[..., 0]
     return ScalarField2D(_plaquette_grid(v.grid), det)
-
-
-def current(v: VectorField2D) -> VectorField2D:
-    """The field v1 grad(v2) - v2 grad(v1) (nodal, physical components)."""
-    g1 = _scalar_gradient(v.grid, v.values[..., 0], 0.0, v.mask)
-    g2 = _scalar_gradient(v.grid, v.values[..., 1], 0.0, v.mask)
-    j = v.values[..., 0:1] * g2 - v.values[..., 1:2] * g1
-    return VectorField2D(v.grid, j, mask=v.mask)
 
 
 def modified_jacobian(

@@ -1,18 +1,15 @@
-"""Grids, discrete gradients, quadrature, and weighted Dirichlet energies."""
+"""Grids, field validation and quadrature."""
 
 import math
 
 import numpy as np
 import pytest
 
-from vortexlab.coefficients import checkerboard, constant
 from vortexlab.fields import (
     CartesianGrid,
     PolarGrid,
     ScalarField2D,
     VectorField2D,
-    dirichlet_energy,
-    gradient,
     integrate,
 )
 
@@ -46,15 +43,6 @@ def test_polar_grid_log_spacing():
     assert th[-1] < 2.0 * math.pi
 
 
-def test_gradient_exact_on_linear_fields():
-    g = CartesianGrid((0.0, 0.0), (1.0, 1.0), (16, 16))
-    xx, yy = g.node_mesh()
-    f = ScalarField2D(g, 2.0 * xx - 3.0 * yy + 1.0)
-    gx, gy = np.moveaxis(gradient(f).values, -1, 0)
-    assert np.allclose(gx, 2.0, atol=1e-12)
-    assert np.allclose(gy, -3.0, atol=1e-12)
-
-
 def test_integrate_constant_and_bilinear():
     g = CartesianGrid((0.0, 0.0), (2.0, 1.0), (32, 16))
     xx, yy = g.node_mesh()
@@ -62,52 +50,6 @@ def test_integrate_constant_and_bilinear():
     # trapezoid quadrature is exact for bilinear integrands
     val = integrate(ScalarField2D(g, xx * yy))
     assert val == pytest.approx(2.0 * 0.5, rel=1e-12)
-
-
-def test_polar_gradient_with_seam_jump():
-    # scalar field theta with jump 2 pi at the seam: gradient magnitude 1/rho
-    g = PolarGrid((0.0, 0.0), 0.5, 2.0, 24, 64)
-    rr, tt = np.meshgrid(g.rho(), g.theta(), indexing="ij")
-    f = ScalarField2D(g, tt.copy(), jump=2.0 * math.pi)
-    grad = gradient(f).values
-    mag = np.hypot(grad[..., 0], grad[..., 1])
-    assert np.allclose(mag, 1.0 / rr, rtol=1e-10)
-
-
-def test_unit_vortex_annulus_energy():
-    # v = x/|x| on the annulus eps < r < 1 has energy 2 pi |log eps|
-    eps = 2.0**-6
-    g = PolarGrid((0.0, 0.0), eps, 1.0, 96, 192)
-    rr, tt = np.meshgrid(g.rho(), g.theta(), indexing="ij")
-    v = VectorField2D(g, np.stack([np.cos(tt), np.sin(tt)], axis=-1),
-                      s1_valued=True)
-    e = dirichlet_energy(v, constant(1.0), 1.0)
-    assert e == pytest.approx(2.0 * math.pi * abs(math.log(eps)), rel=0.02)
-
-
-def test_dirichlet_energy_scales_with_coefficient():
-    g = CartesianGrid((0.0, 0.0), (1.0, 1.0), (32, 32))
-    xx, yy = g.node_mesh()
-    vals = np.stack([xx + 0.5 * yy, yy - xx], axis=-1)
-    v = VectorField2D(g, vals)
-    e1 = dirichlet_energy(v, constant(1.0), 0.25)
-    e3 = dirichlet_energy(v, constant(3.0), 0.25)
-    assert e3 == pytest.approx(3.0 * e1, rel=1e-12)
-    # heterogeneous weight stays within [alpha, beta] times the unweighted one
-    ecb = dirichlet_energy(v, checkerboard(1.0, 4.0), 0.25)
-    assert e1 <= ecb <= 4.0 * e1
-
-
-def test_masked_gradient_one_sided_at_holes():
-    g = CartesianGrid((0.0, 0.0), (1.0, 1.0), (16, 16))
-    xx, yy = g.node_mesh()
-    mask = np.ones(g.node_shape, dtype=bool)
-    mask[6:10, 6:10] = False
-    f = ScalarField2D(g, 3.0 * xx + yy)
-    grad = gradient(f, mask=mask).values
-    ok = mask & np.isfinite(grad[..., 0])
-    assert np.allclose(grad[ok, 0], 3.0, atol=1e-9)
-    assert np.allclose(grad[ok, 1], 1.0, atol=1e-9)
 
 
 def test_vector_field_shape_validation():

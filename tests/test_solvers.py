@@ -441,3 +441,100 @@ def test_row_blocks_from_many_threads_cover_every_row_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for a in arrays:
         assert np.all(a == calls)
+
+
+# -- the face operator ---------------------------------------------------------------
+
+
+def _face_case(kind, shape, rng):
+    """(wx, wy, pinned) of one boundary kind, with weights in [1, 2)."""
+    n0, n1 = shape
+    m0 = n0 if kind == "periodic" else n0 - 1
+    m1 = n1 - 1 if kind == "masked" else n1
+    wx = 1.0 + rng.uniform(size=(m0, n1))
+    wy = 1.0 + rng.uniform(size=(n0, m1))
+    pinned = None
+    if kind == "masked":
+        active = rng.uniform(size=shape) > 0.2
+        wx *= active[:-1, :] & active[1:, :]
+        wy *= active[:, :-1] & active[:, 1:]
+    if kind == "pinned":
+        pinned = 1.0 + rng.uniform(size=(2, n1))
+    return wx, wy, pinned
+
+
+FACE_KINDS = ["periodic", "masked", "mixed", "pinned"]
+
+
+def _dense_face_matrix(wx, wy, pinned, shape):
+    """The operator assembled face by face: each face of weight w between
+    cells p and q adds w to A[p, p] and A[q, q] and -w to A[p, q] and A[q, p]."""
+    n0, n1 = shape
+    a = np.zeros((n0 * n1, n0 * n1))
+
+    def face(p, q, w):
+        a[p, p] += w
+        a[q, q] += w
+        a[p, q] -= w
+        a[q, p] -= w
+
+    for i, j in np.ndindex(wx.shape):
+        face(i * n1 + j, (i + 1) % n0 * n1 + j, wx[i, j])
+    for i, j in np.ndindex(wy.shape):
+        face(i * n1 + j, i * n1 + (j + 1) % n1, wy[i, j])
+    if pinned is not None:
+        for j in range(n1):
+            a[j, j] += pinned[0, j]
+            a[(n0 - 1) * n1 + j, (n0 - 1) * n1 + j] += pinned[1, j]
+    return a
+
+
+@pytest.mark.parametrize("kind", FACE_KINDS)
+def test_face_operator_matches_dense_assembly(kind):
+    shape = (7, 9)
+    rng = np.random.default_rng(21)
+    wx, wy, pinned = _face_case(kind, shape, rng)
+    op = solvers.FaceOperator(wx, wy, pinned)
+    size = shape[0] * shape[1]
+    columns = [op.apply(e.reshape(shape)).ravel().copy() for e in np.eye(size)]
+    matrix = np.array(columns).T
+    dense = _dense_face_matrix(wx, wy, pinned, shape)
+    assert np.allclose(matrix, dense, rtol=0.0, atol=1e-14)
+    assert np.array_equal(matrix, matrix.T)
+    phi = rng.standard_normal(shape)
+    assert np.allclose(op.apply(phi).ravel(), dense @ phi.ravel(), atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", FACE_KINDS)
+def test_face_operator_energy_gradient_is_twice_the_residual(kind):
+    shape = (7, 9)
+    rng = np.random.default_rng(22)
+    wx, wy, pinned = _face_case(kind, shape, rng)
+    op = solvers.FaceOperator(wx, wy, pinned)
+    gx = rng.standard_normal(wx.shape)
+    gy = rng.standard_normal(wy.shape)
+    phi = rng.standard_normal(shape)
+    v = rng.standard_normal(shape)
+    grad = 2.0 * (op.apply(phi) - op.rhs(gx, gy))
+    # E is quadratic, so the central difference is its exact derivative
+    t = 1e-3
+    slope = (op.energy(phi + t * v, gx, gy)
+             - op.energy(phi - t * v, gx, gy)) / (2.0 * t)
+    assert slope == pytest.approx(float(np.vdot(grad, v)), rel=1e-8)
+    # and the energy itself is the face sum at phi = 0
+    expected = float(np.sum(wx * gx**2) + np.sum(wy * gy**2))
+    assert op.energy(np.zeros(shape), gx, gy) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", FACE_KINDS)
+def test_face_operator_threads_are_bit_identical(monkeypatch, kind):
+    shape = (640, 520)  # large enough to be threaded
+    assert shape[0] * shape[1] >= solvers._THREADED_MIN_SIZE
+    rng = np.random.default_rng(23)
+    wx, wy, pinned = _face_case(kind, shape, rng)
+    phi = rng.standard_normal(shape)
+    results = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(solvers, "_WORKERS", workers)
+        results[workers] = solvers.FaceOperator(wx, wy, pinned).apply(phi).copy()
+    assert np.array_equal(results[2], results[1])

@@ -12,7 +12,6 @@ from vortexlab.vortex_analysis import (
     Rectangle,
     VortexMeasure,
     boundary_degree,
-    current,
     degree,
     detect_vortices,
     flat_distance,
@@ -129,7 +128,7 @@ def test_boundary_degree_sums_charges():
     assert boundary_degree(v2).value == 2
 
 
-# -- jacobian and current ----------------------------------------------------------
+# -- jacobians ---------------------------------------------------------------------
 
 
 def test_jacobian_of_identity_map():
@@ -138,15 +137,6 @@ def test_jacobian_of_identity_map():
     v = VectorField2D(grid, np.stack([xx - 0.3, yy - 0.6], axis=-1))
     j = jacobian(v)
     assert np.allclose(j.values, 1.0, atol=1e-12)
-
-
-def test_current_of_rotation_field():
-    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (32, 32))
-    xx, yy = grid.node_mesh()
-    v = VectorField2D(grid, np.stack([-(yy - 0.5), xx - 0.5], axis=-1))
-    c = current(v)
-    assert np.allclose(c.values[..., 0], -(yy - 0.5), atol=1e-10)
-    assert np.allclose(c.values[..., 1], xx - 0.5, atol=1e-10)
 
 
 def test_modified_jacobian_truncates_modulus():

@@ -11,8 +11,7 @@ Two grid families cover every computation in the package:
     where the energy lives.
 
 Scalar fields may declare a constant jump across the angular seam of a
-polar grid (the discrete form of a multivalued angle lifting).  Vector
-fields may carry a node mask.
+polar grid (the discrete form of a multivalued angle lifting).
 """
 
 from __future__ import annotations
@@ -161,22 +160,14 @@ class ScalarField2D:
 
 @dataclass
 class VectorField2D:
-    """Two-component nodal field, optionally masked."""
+    """Two-component nodal field."""
 
     grid: Grid
     values: np.ndarray
-    mask: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         _check_shape(self.grid, self.values, 2)
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.grid.node_shape:
-                raise ValueError(
-                    f"mask shape {self.mask.shape} does not match grid "
-                    f"{self.grid.node_shape}"
-                )
 
 
 # -- quadrature ----------------------------------------------------------------

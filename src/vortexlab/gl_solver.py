@@ -44,6 +44,7 @@ from .singularity_cost import (
 from .solvers import (
     FaceOperator,
     SolveInfo,
+    _row_blocks,
     active_projection,
     dct2_preconditioner,
     pcg,
@@ -311,8 +312,8 @@ def _superposition_gradient(
     x: np.ndarray, y: np.ndarray, atoms, axis: int
 ) -> np.ndarray:
     """Component `axis` of the gradient of the superposition of angle fields
-    at given points."""
-    g = np.zeros_like(x)
+    at the points (x, y), broadcast together."""
+    g = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
     for (ax, ay), z in atoms:
         dx = x - ax
         dy = y - ay
@@ -340,6 +341,11 @@ def core_radius_energy(
     inactive cell (inside an eps-disk) weighted 0; it runs in cache-sized
     row chunks, threaded on grids of 512^2 cells or more.  The mask is
     applied by indexing the inactive cells, the few inside the eps-disks.
+    The set-up builds no grid-size coordinate arrays: the coefficient is
+    evaluated once per face family on points built from the 1-d
+    coordinates, and the mask, the face weights' masking and the angle
+    fields' gradient are computed per row chunk (`solvers._row_blocks`)
+    from broadcast 1-d coordinates.
     Energy and `SolveInfo` are bit-for-bit the same for every thread count.
 
     Returns (energy, SolveInfo of the CG solve).
@@ -358,28 +364,47 @@ def core_radius_energy(
 
     xc = ox + (np.arange(n) + 0.5) * h
     yc = oy + (np.arange(n) + 0.5) * h
-    x1, x2 = np.meshgrid(xc, yc, indexing="ij")
-    active = np.ones((n, n), dtype=bool)
-    for (ax, ay), _ in mu.atoms:
-        active &= (x1 - ax) ** 2 + (x2 - ay) ** 2 > eps**2
+    xf = ox + np.arange(1, n) * h
+    yf = oy + np.arange(1, n) * h
+    active = np.empty((n, n), dtype=bool)
+
+    def mask_rows(i0: int, i1: int) -> None:
+        x1 = xc[i0:i1, None]
+        rows = active[i0:i1]
+        rows[...] = True
+        for (ax, ay), _ in mu.atoms:
+            rows &= (x1 - ax) ** 2 + (yc - ay) ** 2 > eps**2
+
+    _row_blocks(active, mask_rows)
     if not active.any():
         raise ValueError("no active cells: eps-disks cover the whole domain")
 
     coeff = params.coefficient
     delta = params.delta
 
-    fx1, fx2 = np.meshgrid(ox + np.arange(1, n) * h, yc, indexing="ij")
-    wx = coeff.eval(np.stack([fx1, fx2], axis=-1).reshape(-1, 2) / delta)
-    wx = wx.reshape(n - 1, n) * (active[:-1, :] & active[1:, :])
-    fy1, fy2 = np.meshgrid(xc, oy + np.arange(1, n) * h, indexing="ij")
-    wy = coeff.eval(np.stack([fy1, fy2], axis=-1).reshape(-1, 2) / delta)
-    wy = wy.reshape(n, n - 1) * (active[:, :-1] & active[:, 1:])
+    def face_coefficients(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """a at the face midpoints (s[i], t[j]), in one call."""
+        pts = np.empty((len(s), len(t), 2))
+        pts[..., 0] = (s / delta)[:, None]
+        pts[..., 1] = t / delta
+        return coeff.eval(pts)
 
-    gx = h * _superposition_gradient(fx1, fx2, mu.atoms, 0)
-    gy = h * _superposition_gradient(fy1, fy2, mu.atoms, 1)
-    # free the set-up grids before the solve buffers exist, so they do not
-    # add to the peak
-    del x1, x2, fx1, fx2, fy1, fy2
+    wx = face_coefficients(xf, yc)
+    wy = face_coefficients(xc, yf)
+    gx = np.empty((n - 1, n))
+    gy = np.empty((n, n - 1))
+
+    def face_rows(i0: int, i1: int) -> None:
+        # x faces i0..i1 (there is one row fewer) and y faces of rows i0..i1
+        j1 = min(i1, n - 1)
+        wx[i0:j1] *= active[i0:j1] & active[i0 + 1:j1 + 1]
+        gx[i0:j1] = _superposition_gradient(xf[i0:j1, None], yc, mu.atoms, 0)
+        gx[i0:j1] *= h
+        wy[i0:i1] *= active[i0:i1, :-1] & active[i0:i1, 1:]
+        gy[i0:i1] = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
+        gy[i0:i1] *= h
+
+    _row_blocks(active, face_rows)
 
     operator = FaceOperator(wx, wy)
     b = operator.rhs(gx, gy)

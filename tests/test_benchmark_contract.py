@@ -61,3 +61,26 @@ def test_solves_reach_every_traced_preconditioner():
     for kind in spans._PRECONDITIONERS.values():
         assert f"solvers.{kind}_apply" in names
     assert "solvers.pcg" in names
+
+
+def test_core_radius_energy_emits_the_selected_spans():
+    # the selectors of `coefficients.eval_mpts_per_s` (one eval call per
+    # face family, with every face) and of `solvers.dct2_apply_ms`
+    n = 64
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, vortexlab)
+    try:
+        unit = Rectangle((0.0, 0.0), (1.0, 1.0))
+        params = gl_solver.GLParameters(
+            2.0**-4, 2.0**-4, coefficients.checkerboard(1.0, 4.0),
+            CartesianGrid((0.0, 0.0), (1.0, 1.0), (8, 8)))
+        gl_solver.core_radius_energy(
+            VortexMeasure((((0.5, 0.5), 1),), unit), params, n=n)
+    finally:
+        restore()
+    evals = [s["attrs"] for s in tracer.spans if s["name"] == "coefficients.eval"]
+    assert evals == [{"kind": "checkerboard", "points": (n - 1) * n}] * 2
+    applies = [s["attrs"] for s in tracer.spans if s["name"] == "solvers.dct2_apply"]
+    assert applies
+    assert all(a["shape"] == [n, n] for a in applies)

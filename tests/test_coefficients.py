@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexlab.coefficients import (
     checkerboard,
@@ -139,3 +141,70 @@ def test_alpha_beta_bounds():
         vals = a.eval(pts)
         assert np.all(vals >= a.alpha - 1e-12)
         assert np.all(vals <= a.beta + 1e-12)
+
+
+# -- block-wise evaluation against the whole-array formula -----------------------
+
+
+def _frac(x):
+    return x - np.floor(x)
+
+
+def _whole_array_eval(a, pts):
+    """a(y) by the whole-array formulas that block-wise evaluation replaced."""
+    y1, y2 = _frac(pts[..., 0]), _frac(pts[..., 1])
+    p = a.params
+    if a.kind == "constant":
+        return np.full_like(y1, p["value"])
+    if a.kind == "checkerboard":
+        even = (np.floor(2.0 * y1) + np.floor(2.0 * y2)) % 2 == 0
+        return np.where(even, p["alpha_val"], p["beta_val"])
+    if a.kind == "laminate":
+        d = p["direction"]
+        t = _frac(pts[..., 0] * d[0] + pts[..., 1] * d[1])
+        return np.where(t < p["fraction"], p["alpha_val"], p["beta_val"])
+    if a.kind == "smooth-trigonometric":
+        return p["c0"] + p["c1"] * np.cos(2 * np.pi * y1) * np.cos(2 * np.pi * y2)
+    samples = p["samples"]
+    m = samples.shape[0]
+    col = np.minimum((y1 * m).astype(int), m - 1)
+    row = np.minimum((y2 * m).astype(int), m - 1)
+    return samples[row, col]
+
+
+KINDS = (
+    constant(3.0),
+    checkerboard(1.0, 4.0),
+    laminate(1.0, 4.0, direction=(1.0, 2.0), fraction=0.3),
+    smooth_trigonometric(2.0, 1.0),
+    raster(np.arange(1.0, 26.0).reshape(5, 5)),
+)
+BLOCK = 1 << 15
+# points where frac rounds to 1.0 (-1e-20), quadrant and layer edges, and
+# magnitudes where few fractional bits are left
+EDGES = [-1e-20, 1e-20, 0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 0.25, -0.75,
+         1e15, -1e15, 1e15 + 0.5, -(2.0**49) - 0.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 40.0, 1e15]),
+    edges=st.lists(st.sampled_from(EDGES)
+                   | st.floats(-1e15, 1e15, allow_nan=False)
+                   | st.integers(-40, 40).map(lambda k: k / 2.0),
+                   min_size=1, max_size=24),
+)
+def test_blockwise_eval_matches_whole_array_formula(size, seed, scale, edges):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-scale, scale, size=(size, 2))
+    # scatter the edge values over both coordinates, across block boundaries
+    flat = pts.reshape(-1)
+    flat[rng.integers(0, flat.size, size=4 * len(edges))] = \
+        rng.choice(np.array(edges), size=4 * len(edges))
+    for a in KINDS:
+        want = _whole_array_eval(a, pts)
+        assert np.array_equal(a.eval(pts), want)
+        assert np.array_equal(a.eval(pts[None]), want[None])
+        assert a.eval(pts[-1]) == want[-1]

@@ -164,6 +164,21 @@ def test_core_radius_energy_frozen_value():
     assert info.relative_residual <= 1e-8
 
 
+# the first three rows of the scaling study (checkerboard(1, 4), delta = eps,
+# default grid of 4/eps cells): the set-up and the preconditioner may change
+# how they compute, never a bit of what
+@pytest.mark.parametrize("k, expected", [
+    (5, 34.54896529298041), (6, 43.27626179433605), (7, 51.99518018093438)])
+def test_core_radius_energy_scaling_rows_are_exact(k, expected):
+    eps = 2.0**-k
+    mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)
+    params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
+                     n=16)
+    energy, info = core_radius_energy(mu, params)
+    assert energy == expected
+    assert info.iterations == 21
+
+
 def test_core_radius_energy_scales_with_constant_coefficient():
     eps = 2.0**-5
     mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)

@@ -334,30 +334,33 @@ def test_transform_threads_do_not_change_preconditioners(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def _dense_masked_dct2(shape, scale, mask):
-    """The masked DCT-II preconditioner restricting by whole-array products
-    with the mask, `w *= mask; w -= w.sum() / nact; w *= mask`: the oracle
-    for the index-based restriction."""
+def _dense_dct2(shape, scale, mask=None):
+    """The DCT-II preconditioner with a stored eigenvalue grid, transforms
+    into fresh arrays, and restriction by whole-array products with the
+    mask, `w *= mask; w -= w.sum() / nact; w *= mask`: the oracle for the
+    chunked eigenvalues, the padded in-place transforms and the
+    index-based restriction."""
     lam0 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[0]) / shape[0])
     lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[1]) / shape[1])
     ell = scale * (lam0[:, None] + lam1[None, :])
     ell[0, 0] = 1.0
-    nact = int(mask.sum())
 
     def apply(r):
         w = sfft.dctn(r, type=2)
         w /= ell
         w[0, 0] = 0.0
         w = sfft.idctn(w, type=2, overwrite_x=True)
-        w *= mask
-        w -= w.sum() / nact
-        w *= mask
+        if mask is not None:
+            w *= mask
+            w -= w.sum() / int(mask.sum())
+            w *= mask
         return w
 
     return apply
 
 
-@pytest.mark.parametrize("shape", [(12, 12), (640, 520)])
+# 512^2 is threaded and has a power-of-two row stride
+@pytest.mark.parametrize("shape", [(12, 12), (640, 520), (512, 512)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_masked_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape,
                                                          workers):
@@ -366,7 +369,40 @@ def test_masked_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape,
     mask = rng.uniform(size=shape) > 0.2
     r = rng.standard_normal(shape)
     got = dct2_preconditioner(shape, 1.7, restrict=mask)(r)
-    assert np.array_equal(got, _dense_masked_dct2(shape, 1.7, mask)(r))
+    assert np.array_equal(got, _dense_dct2(shape, 1.7, mask)(r))
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (512, 512)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape, workers):
+    monkeypatch.setattr(solvers, "_WORKERS", workers)
+    rng = np.random.default_rng(15)
+    r = rng.standard_normal(shape)
+    keep = r.copy()
+    pre = dct2_preconditioner(shape, 1.7)
+    first = pre(r)
+    first_copy = first.copy()
+    second = pre(2.0 * r)
+    assert np.array_equal(r, keep)
+    # every call returns a fresh C-contiguous array, not the work buffer
+    assert np.array_equal(first, first_copy)
+    assert first.flags.c_contiguous and second.flags.c_contiguous
+    assert not np.shares_memory(first, second)
+    oracle = _dense_dct2(shape, 1.7)
+    assert np.array_equal(first, oracle(r))
+    assert np.array_equal(second, oracle(2.0 * r))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dctn_transforms_a_row_padded_view_in_place(workers):
+    # the dct2 preconditioner's work buffer relies on this: scipy writes the
+    # result into the strided view instead of into a fresh array
+    view = np.random.default_rng(16).standard_normal((512, 520))[:, :512]
+    address = view.__array_interface__["data"][0]
+    for transform in (sfft.dctn, sfft.idctn):
+        out = transform(view, type=2, overwrite_x=True, workers=workers)
+        assert out.__array_interface__["data"][0] == address
+        assert out.strides == view.strides
 
 
 def test_pcg_threads_do_not_change_solution(monkeypatch):

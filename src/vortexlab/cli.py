@@ -121,7 +121,7 @@ def _tensor_from_spec(spec: Any, where: str = "tensor") -> HomogenizedTensor:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     _require_keys(spec, {"a11", "a12", "a22"}, {"a11", "a22"}, where)
-    a12 = _number(spec, "a12", where) if "a12" in spec else 0.0
+    a12 = _number(spec, "a12", where, 0.0)
     tensor = HomogenizedTensor(
         _number(spec, "a11", where), a12, _number(spec, "a22", where), 0, 0.0
     )
@@ -301,8 +301,8 @@ def _cmd_balls(args: argparse.Namespace) -> int:
             (_number(entry, "x", where), _number(entry, "y", where)),
             _positive(entry, "radius", where), entry["weight"],
         ))
-    t_final = _number(data, "t_final", "top level") if "t_final" in data else 1.0
-    if not 0.0 <= t_final < math.inf:
+    t_final = _number(data, "t_final", "top level", 1.0)
+    if t_final < 0.0:
         raise ConfigError(f"'t_final' must be a finite number >= 0, got {t_final!r}")
     try:
         timeline = evolve(balls, t_final)

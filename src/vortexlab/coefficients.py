@@ -71,10 +71,12 @@ class PeriodicCoefficient:
     def eval(self, y: np.ndarray) -> np.ndarray:
         """Evaluate a(y) at points of shape (..., 2).
 
-        Points are reduced to the unit cell internally; any real input is
-        accepted.  Returns an array of shape (...), or a float for a single
-        point.  Large inputs are evaluated in blocks of `_BLOCK_POINTS`
-        points, so the temporaries stay in cache.
+        Points are reduced to the unit cell internally; any finite input
+        is accepted, and a non-finite coordinate raises ValueError (it has
+        no position in the cell).  Returns an array of shape (...), or a
+        float for a single point.  Large inputs are evaluated, and checked,
+        in blocks of `_BLOCK_POINTS` points, so the temporaries stay in
+        cache.
         """
         pts = np.asarray(y, dtype=float)
         scalar_input = pts.ndim == 1
@@ -85,6 +87,10 @@ class PeriodicCoefficient:
         out = np.empty(len(flat))
         for i0 in range(0, len(flat), _BLOCK_POINTS):
             block = flat[i0:i0 + _BLOCK_POINTS]
+            if not np.isfinite(block).all():
+                bad = i0 + int(np.argmin(np.isfinite(block).all(axis=1)))
+                raise ValueError(f"non-finite point {tuple(flat[bad])} "
+                                 f"(index {bad} of the flattened points)")
             out[i0:i0 + len(block)] = self._eval_block(block[:, 0], block[:, 1])
         if scalar_input:
             return float(out[0])

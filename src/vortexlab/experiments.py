@@ -180,10 +180,18 @@ def _integer_at_least(value: Any, minimum: int, what: str) -> int:
     return value
 
 
-def _number(obj: dict, key: str, where: str) -> float:
+def _number(obj: dict, key: str, where: str,
+            default: Optional[float] = None) -> float:
+    """obj[key] when it is a finite number; `default` when the key is
+    absent and a default is given.  JSON's NaN and Infinity are rejected."""
+    if key not in obj and default is not None:
+        return default
     value = obj[key]
     if not _is_number(value):
         raise ConfigError(f"'{key}' at {where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"'{key}' at {where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -191,10 +199,8 @@ def _positive(obj: dict, key: str, where: str,
               default: Optional[float] = None) -> float:
     """obj[key] when it is a finite number > 0; `default` when the key is
     absent and a default is given."""
-    if key not in obj and default is not None:
-        return default
-    value = _number(obj, key, where)
-    if not 0.0 < value < math.inf:
+    value = _number(obj, key, where, default)
+    if not value > 0.0:
         raise ConfigError(
             f"'{key}' at {where} must be a finite number > 0, got {value!r}")
     return value
@@ -211,37 +217,42 @@ def coefficient_from_spec(spec: Any, where: str = "coefficient") -> PeriodicCoef
     kind = spec.get("kind")
     if kind == "constant":
         _require_keys(spec, {"kind", "value"}, {"value"}, where)
-        return constant(_number(spec, "value", where))
-    if kind == "checkerboard":
+        build, args = constant, (_number(spec, "value", where),)
+    elif kind == "checkerboard":
         _require_keys(spec, {"kind", "alpha", "beta"}, {"alpha", "beta"}, where)
-        return checkerboard(_number(spec, "alpha", where), _number(spec, "beta", where))
-    if kind == "laminate":
+        build, args = checkerboard, (_number(spec, "alpha", where),
+                                     _number(spec, "beta", where))
+    elif kind == "laminate":
         _require_keys(
             spec,
             {"kind", "alpha", "beta", "direction", "fraction"},
             {"alpha", "beta"},
             where,
         )
-        direction = tuple(spec.get("direction", (0, 1)))
-        fraction = float(spec.get("fraction", 0.5))
-        return laminate(
-            _number(spec, "alpha", where),
-            _number(spec, "beta", where),
-            direction=direction,
-            fraction=fraction,
-        )
-    if kind == "smooth":
+        direction = spec.get("direction", [0, 1])
+        if not (isinstance(direction, list) and len(direction) == 2
+                and all(_is_number(v) and math.isfinite(v) for v in direction)):
+            raise ConfigError(
+                f"'direction' at {where} must be a list of two finite numbers")
+        build, args = laminate, (_number(spec, "alpha", where),
+                                 _number(spec, "beta", where), tuple(direction),
+                                 _number(spec, "fraction", where, 0.5))
+    elif kind == "smooth":
         _require_keys(spec, {"kind", "c0", "c1"}, set(), where)
-        return smooth_trigonometric(
-            float(spec.get("c0", 2.0)), float(spec.get("c1", 1.0))
-        )
-    if kind == "raster":
+        build, args = smooth_trigonometric, (_number(spec, "c0", where, 2.0),
+                                             _number(spec, "c1", where, 1.0))
+    elif kind == "raster":
         _require_keys(spec, {"kind", "path"}, {"path"}, where)
-        return raster_from_file(str(spec["path"]))
-    raise ConfigError(
-        f"unknown coefficient kind {kind!r} at {where} "
-        f"(expected constant/checkerboard/laminate/smooth/raster)"
-    )
+        build, args = raster_from_file, (str(spec["path"]),)
+    else:
+        raise ConfigError(
+            f"unknown coefficient kind {kind!r} at {where} "
+            f"(expected constant/checkerboard/laminate/smooth/raster)"
+        )
+    try:
+        return build(*args)
+    except (OSError, ValueError) as exc:  # bounds, fraction, raster file
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _atoms_from_spec(spec: Any, where: str) -> tuple:

@@ -27,7 +27,6 @@ __all__ = [
     "ScalarField2D",
     "VectorField2D",
     "integrate",
-    "export_csv",
 ]
 
 
@@ -202,21 +201,3 @@ def integrate(density: ScalarField2D, mask: Optional[np.ndarray] = None) -> floa
     if mask is not None:
         w = np.where(mask, w, 0.0)
     return float(np.sum(w * vals))
-
-
-# -- export ---------------------------------------------------------------------
-
-
-def export_csv(field: ScalarField2D | VectorField2D, path: str) -> None:
-    """Write nodes as CSV rows `x,y,value` (or `x,y,v1,v2`)."""
-    xx, yy = field.grid.node_mesh()
-    cols = [xx.ravel(), yy.ravel()]
-    if isinstance(field, ScalarField2D):
-        header = "x,y,value"
-        cols.append(field.values.ravel())
-    else:
-        header = "x,y,v1,v2"
-        cols.append(field.values[..., 0].ravel())
-        cols.append(field.values[..., 1].ravel())
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=header, comments="")

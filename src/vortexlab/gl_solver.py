@@ -346,6 +346,11 @@ def core_radius_energy(
     coordinates, and the mask, the face weights' masking and the angle
     fields' gradient are computed per row chunk (`solvers._row_blocks`)
     from broadcast 1-d coordinates.
+    The DCT-II preconditioner works in float32 (half the memory traffic of
+    its transforms); CG itself, the operator and the energy stay float64.
+    Against the exact float64 preconditioner the iteration counts are the
+    same and the energies agree to 1e-13 relative (k = 7 of the scaling
+    study moves by one ulp).
     Energy and `SolveInfo` are bit-for-bit the same for every thread count.
 
     Returns (energy, SolveInfo of the CG solve).
@@ -409,7 +414,8 @@ def core_radius_energy(
     operator = FaceOperator(wx, wy)
     b = operator.rhs(gx, gy)
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
-    precond = dct2_preconditioner((n, n), abar, restrict=active)
+    precond = dct2_preconditioner((n, n), abar, restrict=active,
+                                  dtype=np.float32)
     project = active_projection(active)
 
     phi, info = pcg(operator.apply, b, precond, rtol=rtol, maxiter=50 * n,

@@ -45,6 +45,18 @@ to be faulted in on every forward call.  That path stores no eigenvalue
 grid, so the buffer costs no memory: each row chunk of the division
 rebuilds its block from the per-axis eigenvalue vectors.
 
+Work precision.  Everything runs in float64 except where a caller asks
+the all-real path for float32 (`dct2_preconditioner(..., dtype=)`): then
+its buffer, transforms and eigenvalue division run in float32 and the
+result comes back as float64.  The core-radius proxy does so, because its
+2048^2 masked DCT-II is memory-bound and a preconditioner need only
+approximate the inverse: CG's residual, steps, inner products and stopping
+test stay in float64, so the solution keeps its accuracy and the iteration
+counts do not move.  The periodic FFT, mixed and Q1 paths stay float64,
+so the cell corrector and the annulus solves they serve keep every bit,
+and the Q1 inverse is exact, where float32 would turn its one CG
+iteration into several.
+
 Work on arrays of 512 x 512 points or more runs on as many threads as the
 process may use (its CPU affinity, read once at import); smaller arrays
 stay on one thread, where starting threads costs more than it saves.  This
@@ -442,17 +454,18 @@ def _q1_axis(transform: str, n: int, h: float):
     return transform, (2.0 - 2.0 * np.cos(w)) / h, h * (2.0 + np.cos(w)) / 3.0
 
 
-#: Elements of padding per row of the all-real path's work buffer, one
-#: 64-byte cache line.  At n1 = 2048 an unpadded row is 16 KiB, a
-#: power-of-two stride that maps a whole column onto the same cache sets;
-#: on a 2-core Xeon the padded buffer cut a 2048^2 forward DCT-II from
-#: 108 to 62 ms and the in-place inverse from 88 to 50 ms.  scipy
-#: transforms the strided view in place (`overwrite_x=True`).
-_ROW_PAD = 8
+#: Bytes of padding per row of the all-real path's work buffer, one cache
+#: line (8 float64 or 16 float32 elements).  At n1 = 2048 an unpadded row
+#: is 16 KiB in float64, a power-of-two stride that maps a whole column
+#: onto the same cache sets; on a 2-core Xeon the padded buffer cut a
+#: 2048^2 forward DCT-II from 108 to 62 ms and the in-place inverse from
+#: 88 to 50 ms.  scipy transforms the strided view in place
+#: (`overwrite_x=True`), in either precision.
+_ROW_PAD_BYTES = 64
 
 
-def _spectral_inverse(shape: tuple[int, int], axes, scale: float
-                      ) -> Callable[[np.ndarray], np.ndarray]:
+def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
+                      dtype=np.float64) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of scale * (K0 (x) M1 + M0 (x) K1), given per axis the
     (transform, stiffness eigenvalues, mass eigenvalues) of K and M.
 
@@ -464,12 +477,16 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float
     out.
 
     With no periodic axis both transforms run in place on one work buffer
-    per instance, whose rows are padded by `_ROW_PAD` elements, and each
-    call returns a fresh C-contiguous copy of it; the eigenvalue grid is
+    per instance, whose rows are padded by `_ROW_PAD_BYTES`, and each call
+    returns a fresh C-contiguous float64 copy of it; the eigenvalue grid is
     not stored but rebuilt per row chunk of the division from the per-axis
-    vectors, with the same arithmetic.  Such an instance is not reentrant:
-    it must not be applied from two threads at once.  The periodic paths
-    transform into fresh arrays and divide by a stored grid."""
+    vectors, with the same arithmetic.  `dtype` is that path's work
+    precision: the buffer, both transforms, the eigenvalues (rebuilt from
+    copies of the per-axis vectors and `scale` in `dtype`) and the
+    division run in it.  Such an instance is not reentrant: it must not be
+    applied from two threads at once.  The periodic paths ignore `dtype`:
+    they work in float64, transform into fresh arrays and divide by a
+    stored grid."""
     (t0, k0, m0), (t1, k1, m1) = axes
     transforms = (t0, t1)
     real = tuple(a for a in (0, 1) if transforms[a] != "rfft")
@@ -483,6 +500,12 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float
     # finite-volume axes have unit mass, where k0 (x) 1 + 1 (x) k1 is the
     # same sum without its (exact) products by 1, and half the work
     unit_mass = bool(np.all(m0 == 1.0) and np.all(m1 == 1.0))
+    if not periodic:
+        # eigenvalues in the work precision: float64 ones would upcast the
+        # division of a float32 buffer
+        dtype = np.dtype(dtype)
+        k0, m0, k1, m1 = (v.astype(dtype) for v in (k0, m0, k1, m1))
+        scale = dtype.type(scale)
 
     def eigenvalues(i0: int, i1: int) -> np.ndarray:
         """Rows i0..i1 - 1 of the eigenvalue grid, the zero mode's set to 1."""
@@ -510,9 +533,10 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float
         # its memory sets no peak
         stored, padded = eigenvalues(0, len(k0)), None
     else:
-        # the rebuilt eigenvalues pay for the work buffer: see `_ROW_PAD`
+        # the rebuilt eigenvalues pay for the work buffer: see `_ROW_PAD_BYTES`
         stored = None
-        padded = np.empty((shape[0], shape[1] + _ROW_PAD))[:, :shape[1]]
+        pad = _ROW_PAD_BYTES // dtype.itemsize
+        padded = np.empty((shape[0], shape[1] + pad), dtype)[:, :shape[1]]
 
     def apply(r: np.ndarray) -> np.ndarray:
         workers = _workers(r)
@@ -539,7 +563,7 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float
         if real:
             w = inverse(w, type=type_, axes=real, overwrite_x=True,
                         workers=workers)
-        return w if padded is None else w.copy()
+        return w if padded is None else w.astype(np.float64, order="C")
 
     return apply
 
@@ -574,6 +598,7 @@ def mixed_dct_fft_preconditioner(
 def dct2_preconditioner(
     shape: tuple[int, int], scale: float,
     restrict: Optional[np.ndarray] = None,
+    *, dtype=np.float64,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Inverse of scale * (reflective 5-point Laplacian) via 2-d DCT-II.
 
@@ -583,15 +608,25 @@ def dct2_preconditioner(
     positive definite on the masked subspace.
 
     Both transforms run in place on one work buffer of shape
-    (n0, n1 + `_ROW_PAD`) owned by the returned function: the padding
+    (n0, n1 + one cache line) owned by the returned function: the padding
     breaks the power-of-two row stride that made the axis-0 pass miss the
     cache at 2048^2.  The eigenvalues are rebuilt per row chunk from the
     per-axis vectors rather than stored.  Each call returns a fresh
-    C-contiguous array, but the function is not reentrant: apply it from
-    one thread at a time (each solve builds its own).
+    C-contiguous float64 array, but the function is not reentrant: apply
+    it from one thread at a time (each solve builds its own).
+
+    `dtype` is the work precision of the buffer, the transforms and the
+    eigenvalue division.  The float64 default is the exact inverse.
+    np.float32 halves the memory traffic of the transforms, and the
+    result is the inverse to about 1e-7 relative: symmetric and definite
+    only to that accuracy, which preconditioned CG, whose residual, steps
+    and stopping test stay in float64, absorbs (mixed-precision
+    preconditioning; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
+    The restriction runs in float64 either way.
     """
     apply = _spectral_inverse(
-        shape, (_fv_axis("dct2", shape[0]), _fv_axis("dct2", shape[1])), scale)
+        shape, (_fv_axis("dct2", shape[0]), _fv_axis("dct2", shape[1])), scale,
+        dtype)
     if restrict is None:
         return apply
     project = active_projection(restrict)

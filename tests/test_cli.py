@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -354,6 +355,31 @@ def test_scaling_non_numeric_factor_and_rtol_exit_2(tmp_path, capsys, section,
     assert cli.main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("coefficient,message", [
+    ({"kind": "checkerboard", "alpha": math.nan, "beta": 4.0},
+     "'alpha' at coefficient must be a finite number, got nan"),
+    # an infinite phase used to stall the cell corrector (exit 3)
+    ({"kind": "checkerboard", "alpha": 1.0, "beta": math.inf},
+     "'beta' at coefficient must be a finite number, got inf"),
+    ({"kind": "smooth", "c0": "x"}, "'c0' at coefficient must be a number"),
+    ({"kind": "laminate", "alpha": 1.0, "beta": 4.0, "fraction": 2.0},
+     r"coefficient: fraction must lie in \(0, 1\)"),
+])
+def test_scaling_bad_coefficient_numbers_exit_2(tmp_path, capsys, coefficient,
+                                                message):
+    cfg = _config(tmp_path, {
+        "coefficient": coefficient,
+        "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+        "regime": {"kind": "delta_proportional"},
+        "epsilons": {"k_min": 4, "k_max": 4},
+        "solver": {"tensor_resolution": 32},
+    })
+    assert cli.main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert re.search(message, err)
 
 
 def test_scaling_csv_identical_across_threads_at_threaded_size(tmp_path,

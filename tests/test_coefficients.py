@@ -208,3 +208,16 @@ def test_blockwise_eval_matches_whole_array_formula(size, seed, scale, edges):
         assert np.array_equal(a.eval(pts), want)
         assert np.array_equal(a.eval(pts[None]), want[None])
         assert a.eval(pts[-1]) == want[-1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_rejects_non_finite_points(bad):
+    # the bad point sits in the second block, so every block is checked
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(BLOCK + 5, 2))
+    pts[BLOCK + 2, 1] = bad
+    for a in KINDS:
+        with pytest.raises(ValueError, match=f"non-finite point .*index {BLOCK + 2}"):
+            a.eval(pts)
+        with pytest.raises(ValueError, match="non-finite point"):
+            a.eval(pts[BLOCK + 2])
+        a.eval(pts[:BLOCK])  # the finite first block alone is accepted

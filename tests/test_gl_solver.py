@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexlab import coefficients, gl_solver
+from vortexlab import coefficients, gl_solver, solvers
 from vortexlab.fields import CartesianGrid, VectorField2D
 from vortexlab.vortex_analysis import Rectangle, VortexMeasure, detect_vortices
 from vortexlab.gl_solver import (
@@ -166,9 +166,11 @@ def test_core_radius_energy_frozen_value():
 
 # the first three rows of the scaling study (checkerboard(1, 4), delta = eps,
 # default grid of 4/eps cells): the set-up and the preconditioner may change
-# how they compute, never a bit of what
+# how they compute, never a bit of what.  Only a change of precision moved a
+# row: the float32 preconditioner moved k = 7 by one ulp, from
+# 51.99518018093438 (the float64 preconditioner's value, checked below).
 @pytest.mark.parametrize("k, expected", [
-    (5, 34.54896529298041), (6, 43.27626179433605), (7, 51.99518018093438)])
+    (5, 34.54896529298041), (6, 43.27626179433605), (7, 51.995180180934376)])
 def test_core_radius_energy_scaling_rows_are_exact(k, expected):
     eps = 2.0**-k
     mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)
@@ -177,6 +179,44 @@ def test_core_radius_energy_scaling_rows_are_exact(k, expected):
     energy, info = core_radius_energy(mu, params)
     assert energy == expected
     assert info.iterations == 21
+
+
+def _float64_preconditioner(monkeypatch):
+    """Make `core_radius_energy` precondition with the exact float64
+    inverse instead of the float32 one."""
+    exact = solvers.dct2_preconditioner
+    monkeypatch.setattr(
+        gl_solver, "dct2_preconditioner",
+        lambda shape, scale, restrict=None, dtype=None:
+            exact(shape, scale, restrict))
+
+
+def test_core_radius_energy_k7_row_with_the_float64_preconditioner(monkeypatch):
+    _float64_preconditioner(monkeypatch)
+    eps = 2.0**-7
+    mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)
+    params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
+                     n=16)
+    energy, info = core_radius_energy(mu, params)
+    assert energy == 51.99518018093438
+    assert info.iterations == 21
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-12])
+@pytest.mark.parametrize("k, atoms", [
+    (5, (((0.5, 0.5), 1),)), (6, (((0.5, 0.5), 1),)), (7, (((0.5, 0.5), 1),)),
+    (6, (((0.43, 0.52), 1), ((0.7, 0.3), -1)))])
+def test_float32_preconditioner_keeps_iterations_and_energy(monkeypatch, k,
+                                                            atoms, rtol):
+    eps = 2.0**-k
+    mu = VortexMeasure(atoms, UNIT)
+    params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
+                     n=16)
+    energy, info = core_radius_energy(mu, params, rtol=rtol)
+    _float64_preconditioner(monkeypatch)
+    want, want_info = core_radius_energy(mu, params, rtol=rtol)
+    assert info.iterations == want_info.iterations
+    assert energy == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_core_radius_energy_scales_with_constant_coefficient():

@@ -334,22 +334,25 @@ def test_transform_threads_do_not_change_preconditioners(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def _dense_dct2(shape, scale, mask=None):
+def _dense_dct2(shape, scale, mask=None, dtype=np.float64):
     """The DCT-II preconditioner with a stored eigenvalue grid, transforms
     into fresh arrays, and restriction by whole-array products with the
     mask, `w *= mask; w -= w.sum() / nact; w *= mask`: the oracle for the
     chunked eigenvalues, the padded in-place transforms and the
-    index-based restriction."""
+    index-based restriction.  `dtype` is the precision of the transforms
+    and the division (eigenvalues computed in float64, then rounded); the
+    result and the restriction are float64."""
     lam0 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[0]) / shape[0])
     lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[1]) / shape[1])
-    ell = scale * (lam0[:, None] + lam1[None, :])
+    lam0, lam1 = lam0.astype(dtype), lam1.astype(dtype)
+    ell = dtype(scale) * (lam0[:, None] + lam1[None, :])
     ell[0, 0] = 1.0
 
     def apply(r):
-        w = sfft.dctn(r, type=2)
+        w = sfft.dctn(r.astype(dtype), type=2)
         w /= ell
         w[0, 0] = 0.0
-        w = sfft.idctn(w, type=2, overwrite_x=True)
+        w = sfft.idctn(w, type=2, overwrite_x=True).astype(np.float64)
         if mask is not None:
             w *= mask
             w -= w.sum() / int(mask.sum())
@@ -391,6 +394,51 @@ def test_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape, workers):
     oracle = _dense_dct2(shape, 1.7)
     assert np.array_equal(first, oracle(r))
     assert np.array_equal(second, oracle(2.0 * r))
+
+
+# -- the float32 work precision ----------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (512, 512)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_float32_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape,
+                                                          workers):
+    monkeypatch.setattr(solvers, "_WORKERS", workers)
+    rng = np.random.default_rng(17)
+    mask = rng.uniform(size=shape) > 0.2
+    r = rng.standard_normal(shape)
+    for restrict in (None, mask):
+        # a numpy float64 scale must not upcast the float32 eigenvalues
+        pre = dct2_preconditioner(shape, np.float64(1.7), restrict=restrict,
+                                  dtype=np.float32)
+        first = pre(r)
+        second = pre(2.0 * r)
+        assert first.dtype == np.float64 and first.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+        oracle = _dense_dct2(shape, 1.7, restrict, dtype=np.float32)
+        assert np.array_equal(first, oracle(r))
+        assert np.array_equal(second, oracle(2.0 * r))
+
+
+def test_float32_dct2_preconditioner_is_close_and_symmetric_on_a_mask():
+    rng = np.random.default_rng(18)
+    shape = (96, 80)
+    mask = rng.uniform(size=shape) > 0.2
+    exact = dct2_preconditioner(shape, 1.3, restrict=mask)
+    single = dct2_preconditioner(shape, 1.3, restrict=mask, dtype=np.float32)
+
+    def masked_mean_zero():
+        v = rng.standard_normal(shape) * mask
+        v -= v[mask].mean()
+        return v * mask
+
+    u, v = masked_mean_zero(), masked_mean_zero()
+    want = exact(u)
+    got = single(u)
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    assert np.array_equal(got, got * mask)  # restricted in float64
+    assert np.sum(v * got) == pytest.approx(np.sum(u * single(v)), rel=1e-5)
+    assert np.sum(u * got) > 0.0
 
 
 @pytest.mark.parametrize("workers", [1, 2])

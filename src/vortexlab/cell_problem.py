@@ -85,15 +85,6 @@ class HomogenizedTensor:
             "residual": self.residual,
         }
 
-    @staticmethod
-    def from_matrix(m: np.ndarray, resolution: int = 0,
-                    residual: float = 0.0) -> "HomogenizedTensor":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12 * max(1.0, abs(m[0, 1])):
-            raise ValueError("expected a symmetric 2x2 matrix")
-        return HomogenizedTensor(float(m[0, 0]), float(m[0, 1]), float(m[1, 1]),
-                                 resolution, residual)
-
 
 @dataclass
 class CorrectorSolution:
@@ -155,8 +146,14 @@ def solve_corrector(
         v -= v.mean()
         return v
 
+    def apply(v: np.ndarray) -> np.ndarray:
+        # the periodic operator keeps mean zero only up to rounding; without
+        # this projection a checkerboard(1, 100) corrector at n = 64 took 35
+        # iterations instead of 34 in one direction
+        return project(operator.apply(v))
+
     try:
-        phi, info = pcg(operator.apply, b, precond, rtol=rtol, maxiter=50 * n,
+        phi, info = pcg(apply, b, precond, rtol=rtol, maxiter=50 * n,
                         project=project)
     except SolverError as exc:
         raise SolverError(

@@ -265,8 +265,8 @@ def raster(samples: np.ndarray) -> PeriodicCoefficient:
         raise ValueError(f"samples must be a square 2-d array, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("samples must be nonempty")
-    if not np.all(arr > 0):
-        raise ValueError("all raster samples must be positive")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError("all raster samples must be finite and positive")
     arr = arr.copy()
     arr.setflags(write=False)
     return PeriodicCoefficient(
@@ -278,7 +278,7 @@ def raster_from_file(path: str) -> PeriodicCoefficient:
     """Read a raster coefficient from a plain-text grid file.
 
     Format: first line holds the integer M, followed by M rows of M
-    whitespace-separated positive decimals, row-major, giving samples on
+    whitespace-separated finite positive decimals, row-major, giving samples on
     the cell centers of [0,1)^2.
     """
     with open(path, "r", encoding="utf-8") as fh:

@@ -451,8 +451,9 @@ def _measure_one(
     epsilon: float,
     seed: Optional[int],
 ) -> tuple[ScalingRow, Optional[dict[str, Any]]]:
-    """The row for one epsilon, and what its solve reported (CG iterations
-    and final relative residual, or descent iterations and stop reason;
+    """The row for one epsilon, and what its solve reported (inner CG
+    iterations, refinement steps and final relative residual, or descent
+    iterations and stop reason;
     None for `gl_recovery` and for rows that failed)."""
     delta = _delta_for(config, epsilon)
     lam = _lambda_effective(epsilon, delta)
@@ -473,6 +474,7 @@ def _measure_one(
                 used, params, n=_grid_cells(config, epsilon), rtol=config.rtol
             )
             solve = {"iterations": info.iterations,
+                     "outer_steps": info.outer_steps,
                      "relative_residual": info.relative_residual}
         else:
             grid = default_grid(config.domain, epsilon, config.cells_per_epsilon)

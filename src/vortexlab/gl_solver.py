@@ -44,9 +44,13 @@ from .singularity_cost import (
 from .solvers import (
     FaceOperator,
     SolveInfo,
+    SolverError,
+    _chunk_dot,
     _row_blocks,
+    _row_sum,
     active_projection,
     dct2_preconditioner,
+    dot,
     pcg,
 )
 from .vortex_analysis import Rectangle, VortexMeasure, detect_vortices
@@ -322,6 +326,15 @@ def _superposition_gradient(
     return g
 
 
+#: Precision of `core_radius_energy`'s inner solve: its face weights, CG
+#: vectors and DCT-II preconditioner.
+_INNER_DTYPE = np.float32
+#: Relative residual each inner solve reaches before the float64 residual is
+#: formed again.  The scaling rows (k = 5..9) take 2 refinement steps at
+#: 1e-4; at 1e-3 they took 3 steps and more inner iterations in all.
+_INNER_RTOL = 1e-4
+
+
 def core_radius_energy(
     mu: VortexMeasure,
     params: GLParameters,
@@ -345,15 +358,29 @@ def core_radius_energy(
     evaluated once per face family on points built from the 1-d
     coordinates, and the mask, the face weights' masking and the angle
     fields' gradient are computed per row chunk (`solvers._row_blocks`)
-    from broadcast 1-d coordinates.
-    The DCT-II preconditioner works in float32 (half the memory traffic of
-    its transforms); CG itself, the operator and the energy stay float64.
-    Against the exact float64 preconditioner the iteration counts are the
-    same and the energies agree to 1e-13 relative (k = 7 of the scaling
-    study moves by one ulp).
-    Energy and `SolveInfo` are bit-for-bit the same for every thread count.
+    from broadcast 1-d coordinates.  The gradient is not kept during the
+    solve: the energy recomputes it per row chunk.
 
-    Returns (energy, SolveInfo of the CG solve).
+    Precision: the solve is float64 iterative refinement around a float32
+    CG (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  The right-hand
+    side b is projected onto the active mean-zero subspace in place.  Each
+    outer step solves A d = r to `_INNER_RTOL` with `solvers.pcg` entirely
+    in float32 (face weights, vectors, and the masked DCT-II
+    preconditioner; its inner products are float64), adds d to phi in
+    float64, and forms the next residual r = b - A phi with the float64
+    operator (`FaceOperator.residual`, whose row pass also casts r to
+    float32).  The loop stops when the float64 relative residual is at
+    most `rtol`, within 50 n inner iterations in all.  Each float32
+    iteration moves half the bytes of a float64 one; the scaling rows take
+    2 outer steps and 23 inner iterations where a float64 CG takes 21, and
+    their energies agree with a float64 CG to 1e-12 relative.  Energy and
+    `SolveInfo` are bit-for-bit the same for every thread count and BLAS
+    setting.
+
+    Returns (energy, SolveInfo of the refined solve: inner iterations in
+    all, final float64 relative residual, outer steps).  Raises
+    SolverError when an inner solve fails, or when an outer step gives a
+    non-finite residual or does not lower it.
     """
     if not mu.atoms:
         raise ValueError("the proxy energy needs at least one atom")
@@ -394,33 +421,89 @@ def core_radius_energy(
         pts[..., 1] = t / delta
         return coeff.eval(pts)
 
+    def face_data(i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+        """h times the angle fields' gradient on the x faces i0..i1 (there
+        is one row fewer) and on the y faces of rows i0..i1."""
+        gx = _superposition_gradient(xf[i0:min(i1, n - 1), None], yc, mu.atoms, 0)
+        gx *= h
+        gy = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
+        gy *= h
+        return gx, gy
+
     wx = face_coefficients(xf, yc)
     wy = face_coefficients(xc, yf)
     gx = np.empty((n - 1, n))
     gy = np.empty((n, n - 1))
 
     def face_rows(i0: int, i1: int) -> None:
-        # x faces i0..i1 (there is one row fewer) and y faces of rows i0..i1
         j1 = min(i1, n - 1)
         wx[i0:j1] *= active[i0:j1] & active[i0 + 1:j1 + 1]
-        gx[i0:j1] = _superposition_gradient(xf[i0:j1, None], yc, mu.atoms, 0)
-        gx[i0:j1] *= h
         wy[i0:i1] *= active[i0:i1, :-1] & active[i0:i1, 1:]
-        gy[i0:i1] = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
-        gy[i0:i1] *= h
+        gx[i0:j1], gy[i0:i1] = face_data(i0, i1)
 
     _row_blocks(active, face_rows)
 
     operator = FaceOperator(wx, wy)
-    b = operator.rhs(gx, gy)
+    b = active_projection(active)(operator.rhs(gx, gy))
+    del gx, gy
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
+    inner = FaceOperator(wx.astype(_INNER_DTYPE), wy.astype(_INNER_DTYPE))
     precond = dct2_preconditioner((n, n), abar, restrict=active,
-                                  dtype=np.float32)
-    project = active_projection(active)
+                                  dtype=_INNER_DTYPE)
+    phi, info = _refine(operator, b, inner, precond, rtol=rtol, maxiter=50 * n)
 
-    phi, info = pcg(operator.apply, b, precond, rtol=rtol, maxiter=50 * n,
-                    project=project)
-    return operator.energy(phi, gx, gy), info
+    def energy_rows(i0: int, i1: int) -> float:
+        j1 = min(i1, n - 1)
+        gx, gy = face_data(i0, i1)
+        gx += phi[i0 + 1:j1 + 1] - phi[i0:j1]
+        gy += phi[i0:i1, 1:] - phi[i0:i1, :-1]
+        return _chunk_dot(wx[i0:j1] * gx, gx) + _chunk_dot(wy[i0:i1] * gy, gy)
+
+    return _row_sum(phi, energy_rows), info
+
+
+def _refine(operator: FaceOperator, b: np.ndarray, inner: FaceOperator,
+            precond, *, rtol: float, maxiter: int) -> tuple[np.ndarray, SolveInfo]:
+    """Solve operator phi = b to relative residual `rtol` by iterative
+    refinement: float64 residuals, corrections from `pcg` on `inner` and
+    `precond` in their own precision, at most `maxiter` inner iterations
+    in all (see `core_radius_energy`)."""
+    phi = np.zeros_like(b)
+    bnorm = math.sqrt(dot(b, b))
+    if not math.isfinite(bnorm):
+        raise SolverError("refinement got a non-finite right-hand side",
+                          iterations=0)
+    if bnorm == 0.0:
+        return phi, SolveInfo(0, 0.0, 0)
+    # the residual in the inner precision, the right-hand side of each step
+    r = b.astype(inner.wx.dtype)
+    res = bnorm
+    iterations = steps = 0
+    while res > rtol * bnorm:
+        try:
+            d, info = pcg(inner, r, precond, rtol=_INNER_RTOL,
+                          maxiter=maxiter - iterations)
+        except SolverError as exc:
+            raise SolverError(
+                f"refinement step {steps + 1}: {exc}", residual=res / bnorm,
+                iterations=iterations + exc.iterations) from exc
+        iterations += info.iterations
+        steps += 1
+
+        def correct(i0: int, i1: int) -> None:
+            phi[i0:i1] += d[i0:i1]
+
+        _row_blocks(phi, correct)
+        previous, res = res, math.sqrt(operator.residual(phi, b, r))
+        if not math.isfinite(res):
+            raise SolverError(
+                f"refinement met a non-finite residual (step {steps})",
+                iterations=iterations)
+        if not res < previous:
+            raise SolverError(
+                f"refinement stagnated at relative residual {res / bnorm:.3e} "
+                f"(step {steps})", residual=res / bnorm, iterations=iterations)
+    return phi, SolveInfo(iterations, res / bnorm, steps)
 
 
 # -- minimization ---------------------------------------------------------------------
@@ -458,21 +541,29 @@ class _DescentKernel:
 
     Fields are component-first arrays of shape (2, nx+1, ny+1).  The edge
     weights c = a * row-weight and the node weights m = area / eps^2 are
-    built once, and every work array is allocated once, so an evaluation
-    allocates nothing of grid size.
+    built once, stored as 2c and -4m, the factors of the gradient, so that
+    the gradient needs no scaling pass (the sums undo the factors exactly:
+    they are powers of two).  Every work array is allocated once, so an
+    evaluation allocates nothing of grid size.  Its sums are `solvers.dot`,
+    whose bits do not depend on the BLAS thread count.
     """
 
     def __init__(self, grid: CartesianGrid, params: GLParameters) -> None:
         a_ex, a_ey = _edge_coefficients(grid, params.coefficient, params.delta)
         rx, ry = _edge_row_weights(grid)
-        self.cx = a_ex * rx
-        self.cy = a_ey * ry
-        self.m = _node_area_weights(grid) / params.epsilon**2
+        self.cx2 = 2.0 * a_ex * rx
+        self.cy2 = 2.0 * a_ey * ry
+        self.m4 = -4.0 * _node_area_weights(grid) / params.epsilon**2
         nx, ny = grid.n
-        self._dx = np.empty((2, nx, ny + 1))
-        self._dy = np.empty((2, nx + 1, ny))
-        self._fx = np.empty_like(self._dx)
-        self._fy = np.empty_like(self._dy)
+        # the x- and y-edge arrays are the halves of one buffer each, so
+        # that a sum over all edges is one reduction
+        size = 2 * nx * (ny + 1)
+        self._d = np.empty(size + 2 * (nx + 1) * ny)
+        self._f = np.empty_like(self._d)
+        self._dx = self._d[:size].reshape(2, nx, ny + 1)
+        self._dy = self._d[size:].reshape(2, nx + 1, ny)
+        self._fx = self._f[:size].reshape(2, nx, ny + 1)
+        self._fy = self._f[size:].reshape(2, nx + 1, ny)
         self._p = np.empty(grid.node_shape)
         self._q = np.empty(grid.node_shape)
         self._mq = np.empty(grid.node_shape)
@@ -485,17 +576,14 @@ class _DescentKernel:
         dx, dy, fx, fy, md = self._dx, self._dy, self._fx, self._fy, self._mq
         np.subtract(w[:, 1:, :], w[:, :-1, :], out=dx)
         np.subtract(w[:, :, 1:], w[:, :, :-1], out=dy)
-        np.multiply(dx, self.cx, out=fx)
-        np.multiply(dy, self.cy, out=fy)
-        grad_term = np.vdot(fx, dx) + np.vdot(fy, dy)
+        np.multiply(dx, self.cx2, out=fx)
+        np.multiply(dy, self.cy2, out=fy)
+        grad_term = 0.5 * dot(self._f, self._d)
         np.einsum("kij,kij->ij", w, w, out=defect)
         np.subtract(1.0, defect, out=defect)
-        np.multiply(self.m, defect, out=md)
-        pot_term = np.vdot(md, defect)
+        np.multiply(self.m4, defect, out=md)
+        pot_term = -0.25 * dot(md, defect)
         np.multiply(w, md, out=g)
-        g *= -4.0
-        fx *= 2.0
-        fy *= 2.0
         g[:, :-1, :] -= fx
         g[:, 1:, :] += fx
         g[:, :, :-1] -= fy
@@ -504,7 +592,7 @@ class _DescentKernel:
         g[:, -1, :] = 0.0
         g[:, :, 0] = 0.0
         g[:, :, -1] = 0.0
-        return float(grad_term + pot_term)
+        return grad_term + pot_term
 
     def quartic(
         self, w: np.ndarray, defect: np.ndarray, d: np.ndarray
@@ -515,18 +603,18 @@ class _DescentKernel:
         p, q, mq = self._p, self._q, self._mq
         np.subtract(d[:, 1:, :], d[:, :-1, :], out=dx)
         np.subtract(d[:, :, 1:], d[:, :, :-1], out=dy)
-        np.multiply(dx, self.cx, out=fx)
-        np.multiply(dy, self.cy, out=fy)
-        c2 = np.vdot(fx, dx) + np.vdot(fy, dy)
+        np.multiply(dx, self.cx2, out=fx)
+        np.multiply(dy, self.cy2, out=fy)
+        c2 = 0.5 * dot(self._f, self._d)
         np.einsum("kij,kij->ij", w, d, out=p)
         np.einsum("kij,kij->ij", d, d, out=q)
-        np.multiply(self.m, q, out=mq)
-        c4 = np.vdot(mq, q)
-        c3 = 4.0 * np.vdot(mq, p)
-        c2 -= 2.0 * np.vdot(mq, defect)
-        np.multiply(self.m, p, out=q)
-        c2 += 4.0 * np.vdot(q, p)
-        return float(c2), float(c3), float(c4)
+        np.multiply(self.m4, q, out=mq)
+        c4 = -0.25 * dot(mq, q)
+        c3 = -dot(mq, p)
+        c2 += 0.5 * dot(mq, defect)
+        np.multiply(self.m4, p, out=q)
+        c2 -= dot(q, p)
+        return c2, c3, c4
 
 
 def _quartic_step(
@@ -588,13 +676,13 @@ def minimize_gl(
     w_new, g_new = np.empty_like(w), np.empty_like(w)
     defect_new = np.empty_like(defect)
     energy = kernel.energy_gradient(w, g, defect)
-    gg = float(np.vdot(g, g))
+    gg = dot(g, g)
     d = np.negative(g)
     trace = [energy]
     stop_reason = "budget"
 
     for _ in range(budget.max_iterations):
-        slope = float(np.vdot(g, d))
+        slope = dot(g, d)
         steepest = slope >= 0.0
         if steepest:
             np.negative(g, out=d)
@@ -616,8 +704,8 @@ def minimize_gl(
             floor = -predicted <= floor_rtol * abs(energy)
             stop_reason = "rounding_floor" if floor else "line_search"
             break
-        gg_new = float(np.vdot(g_new, g_new))
-        beta = max(0.0, (gg_new - float(np.vdot(g_new, g))) / gg)
+        gg_new = dot(g_new, g_new)
+        beta = max(0.0, (gg_new - dot(g_new, g)) / gg)
         w, w_new = w_new, w
         g, g_new = g_new, g
         defect, defect_new = defect_new, defect

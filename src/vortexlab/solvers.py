@@ -9,7 +9,8 @@ rectangular index grid, and this module holds one of each part:
     or natural), and optional half-cell Dirichlet rows pin axis 0.  The
     cell corrector, the oscillating annulus and the core-radius proxy all
     use it.
-  * `pcg`: preconditioned CG with an optional projection.
+  * `pcg`: preconditioned CG with an optional projection, on float64 or
+    float32 vectors, with float64 inner products (`dot`).
   * `_spectral_inverse`: the exact inverse of a separable operator
     scale * (K0 (x) M1 + M0 (x) K1), given per axis the transform that
     diagonalizes the 1-d stiffness K and mass M and their eigenvalues
@@ -47,15 +48,14 @@ rebuilds its block from the per-axis eigenvalue vectors.
 
 Work precision.  Everything runs in float64 except where a caller asks
 the all-real path for float32 (`dct2_preconditioner(..., dtype=)`): then
-its buffer, transforms and eigenvalue division run in float32 and the
-result comes back as float64.  The core-radius proxy does so, because its
-2048^2 masked DCT-II is memory-bound and a preconditioner need only
-approximate the inverse: CG's residual, steps, inner products and stopping
-test stay in float64, so the solution keeps its accuracy and the iteration
-counts do not move.  The periodic FFT, mixed and Q1 paths stay float64,
-so the cell corrector and the annulus solves they serve keep every bit,
-and the Q1 inverse is exact, where float32 would turn its one CG
-iteration into several.
+its buffer, transforms, eigenvalue division, restriction and result are
+float32.  The core-radius proxy does so, inside a float32 inner CG on
+float32 face weights whose corrections a float64 outer loop refines
+(`gl_solver.core_radius_energy`): its 2048^2 masked solve is
+memory-bound, and float32 halves the bytes each iteration moves.  The
+periodic FFT, mixed and Q1 paths stay float64, so the cell corrector and
+the annulus solves they serve keep their accuracy, and the Q1 inverse is
+exact, where float32 would turn its one CG iteration into several.
 
 Work on arrays of 512 x 512 points or more runs on as many threads as the
 process may use (its CPU affinity, read once at import); smaller arrays
@@ -65,9 +65,18 @@ covers the transforms and the elementwise work of a solve, all through
 restrictions and the face operator.  Elementwise work is also done in
 cache-sized row chunks, so a chain of updates reads and writes each large
 array once.
-Each 1-d transform and each element is computed the same way whatever the
-thread count, and every reduction (inner products, sums) runs over the
-whole array on one thread, so the results are bit-for-bit identical.
+
+Reductions.  Every inner product and sum of a solve goes through `dot`
+or `_row_sum`: a float64 partial per row chunk of a grid that depends on
+the array's shape alone, the partials added in chunk order.  numpy's
+`vdot` hands float64 data to the BLAS, which splits long vectors over its
+own threads, so its bits depend on the BLAS thread count; these sums do
+not.  The chunk that computes a partial is often already in cache: CG
+takes r.r in its x/r update, p.Ap in `FaceOperator`'s row pass and r.z in
+the masked DCT-II's last pass (`with_dot`).  Each 1-d transform and each
+element is computed the same way whatever the thread count, so solutions
+are bit-for-bit the same for every `_WORKERS`, core count and BLAS
+setting.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ __all__ = [
     "SolveInfo",
     "FaceOperator",
     "pcg",
+    "dot",
     "active_projection",
     "periodic_fft_preconditioner",
     "mixed_dct_fft_preconditioner",
@@ -121,6 +131,12 @@ def _workers(a: np.ndarray) -> int:
 # at 256^2 two chunks cost no more than one.
 _CHUNK_ELEMENTS = 1 << 15
 
+# A reduction reads its operands once and writes nothing, so on 2 cores a
+# second thread pays only from about 2^20 elements: a float64 `dot` took 272
+# against 186 us inline at 2^18 elements, 464 against 359 at 2^19, and 614
+# against 741 at 2^20.  Below this size `dot` runs its chunks inline.
+_DOT_THREADED_MIN_SIZE = 1 << 20
+
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
 
@@ -135,39 +151,87 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _row_blocks(a: np.ndarray, fn: Callable[[int, int], None]) -> None:
-    """Run fn(i0, i1) over row ranges [i0, i1) of axis 0 of `a` that cover
-    it exactly once, each at most `_CHUNK_ELEMENTS` elements (one row at
-    least).
+def _chunk_rows(a: np.ndarray) -> int:
+    """Rows per chunk of `a`: at most `_CHUNK_ELEMENTS` elements, one row at
+    least."""
+    return max(1, _CHUNK_ELEMENTS * a.shape[0] // max(a.size, 1))
 
-    `fn` must only touch rows i0..i1-1 of its outputs.  Arrays of 512^2
-    points or more are split into one contiguous block per worker
-    (`_WORKERS`, read at call time); the caller runs the first block and a
-    shared pool the others.  Smaller arrays run inline on the calling
-    thread.  `fn` runs on pool threads, so it must never call
+
+def _row_blocks(a: np.ndarray, fn: Callable[[int, int], object]) -> list:
+    """Run fn(i0, i1) over the row chunks [i0, i1) of axis 0 of `a`, which
+    cover it exactly once, and return fn's results in chunk order.
+
+    The chunks depend on the shape of `a` alone: chunk k holds rows
+    k s .. (k + 1) s - 1, s rows of at most `_CHUNK_ELEMENTS` elements (one
+    row at least).  `fn` must only touch rows i0..i1-1 of its outputs.
+    Arrays of 512^2 points or more hand one contiguous run of chunks to
+    each worker (`_WORKERS`, read at call time); the caller runs the first
+    run and a shared pool the others.  Smaller arrays run inline on the
+    calling thread.  `fn` runs on pool threads, so it must never call
     `_row_blocks` itself: a pool task waiting on the pool can deadlock.
     """
-    rows = a.shape[0]
-    step = max(1, _CHUNK_ELEMENTS * rows // max(a.size, 1))
-
-    def block(b0: int, b1: int) -> None:
-        for i0 in range(b0, b1, step):
-            fn(i0, min(i0 + step, b1))
-
-    workers = min(_workers(a), rows)
+    rows, step = a.shape[0], _chunk_rows(a)
+    count = -(-rows // step)
+    workers = min(_workers(a), count)
     if workers <= 1:
-        block(0, rows)
-        return
-    bounds = [rows * k // workers for k in range(workers + 1)]
+        return [fn(i0, min(i0 + step, rows)) for i0 in range(0, rows, step)]
+    results: list = [None] * count
+
+    def run(c0: int, c1: int) -> None:
+        for c in range(c0, c1):
+            results[c] = fn(c * step, min((c + 1) * step, rows))
+
+    bounds = [count * k // workers for k in range(workers + 1)]
     pool = _executor()
-    futures = [pool.submit(block, b0, b1)
-               for b0, b1 in zip(bounds[1:-1], bounds[2:])]
+    futures = [pool.submit(run, c0, c1)
+               for c0, c1 in zip(bounds[1:-1], bounds[2:])]
     try:
-        block(bounds[0], bounds[1])
+        run(bounds[0], bounds[1])
     finally:
         wait(futures)
     for future in futures:
         future.result()
+    return results
+
+
+def _row_sum(a: np.ndarray, fn: Callable[[int, int], float]) -> float:
+    """The sum of the float partials fn(i0, i1) over `_row_blocks`' chunks
+    of `a`, added in chunk order: the same bits for every thread count."""
+    total = 0.0
+    for part in _row_blocks(a, fn):
+        total += part
+    return total
+
+
+def _chunk_dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v of one chunk, summed in float64 (float32 products are rounded
+    to float32 and then summed in float64)."""
+    u, v = u.reshape(-1), v.reshape(-1)
+    if u.dtype.char == v.dtype.char == "d":
+        return float(np.einsum("i,i->", u, v))
+    return float(np.multiply(u, v, out=np.empty(u.shape)).sum())
+
+
+def _chunk_sum(u: np.ndarray) -> float:
+    """The float64 sum of a 2-d chunk by rows, the same bits whatever the
+    stride between its rows (the DCT-II's padded buffer or a plain array)."""
+    return float(u.sum(axis=1, dtype=np.float64).sum())
+
+
+def dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v in float64 over the fixed row chunks of u (`_row_sum`; arrays
+    of more than two axes are taken as rows of their last axis): the same
+    bits for every `_WORKERS`, core count and BLAS thread count, which
+    `np.vdot` does not give."""
+    if u.ndim > 2:
+        u, v = u.reshape(-1, u.shape[-1]), v.reshape(-1, v.shape[-1])
+    if u.size >= _DOT_THREADED_MIN_SIZE:
+        return _row_sum(u, lambda i0, i1: _chunk_dot(u[i0:i1], v[i0:i1]))
+    # the same chunks and order, inline
+    step, total = _chunk_rows(u), 0.0
+    for i0 in range(0, len(u), step):
+        total += _chunk_dot(u[i0:i0 + step], v[i0:i0 + step])
+    return total
 
 
 def active_projection(active: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -175,16 +239,15 @@ def active_projection(active: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     True cells of the boolean mask `active`.
 
     Zeroes the inactive cells, subtracts the mean over the active cells
-    and zeroes the inactive cells again, with the same arithmetic as
-    `v *= active; v -= v.sum() / nact; v *= active`.  Only the inactive
-    cells are indexed, which is cheap when they are few (holes around
-    vortex cores)."""
+    (summed by `_row_sum`) and zeroes the inactive cells again.  Only the
+    inactive cells are indexed, which is cheap when they are few (holes
+    around vortex cores)."""
     inactive = np.nonzero(~active)
     nact = int(active.sum())
 
     def project(v: np.ndarray) -> np.ndarray:
         v[inactive] = 0.0
-        shift = v.sum() / nact
+        shift = _row_sum(v, lambda i0, i1: _chunk_sum(v[i0:i1])) / nact
 
         def rows(i0: int, i1: int) -> None:
             v[i0:i1] -= shift
@@ -208,8 +271,29 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveInfo:
+    """What a solve did: CG iterations in all, the final relative residual,
+    and the number of CG runs (`outer_steps`: 1 for `pcg`, the refinement
+    steps for a refined solve, whose `iterations` add up its inner ones)."""
+
     iterations: int
     relative_residual: float
+    outer_steps: int = 1
+
+
+def _with_dot(apply: Callable) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+    """v -> (apply(v), v . apply(v)): `apply.with_dot` where it has one,
+    which takes the product in the pass that writes the output, otherwise
+    `dot` after the call.  Both sum the same chunks the same way, so the
+    bits do not depend on which one runs."""
+    fused = getattr(apply, "with_dot", None)
+    if fused is not None:
+        return fused
+
+    def unfused(v: np.ndarray) -> tuple[np.ndarray, float]:
+        out = apply(v)
+        return out, dot(v, out)
+
+    return unfused
 
 
 def pcg(
@@ -225,42 +309,45 @@ def pcg(
 
     `project`, when given, maps onto the solvable subspace (typically
     mean-zero functions, possibly restricted to active cells), in place.
-    It is applied to the right-hand side, to every operator output, and to
-    the solution on return.  The iterate itself is not projected on each
-    step: it is a combination of search directions, each built from
-    preconditioner outputs that already lie in the subspace, so a per-step
-    projection would only remove rounding.
+    It is applied to the right-hand side and to the solution on return.
+    The operator's outputs are not projected: an operator that does not
+    keep the subspace must project inside itself.  The iterate is not
+    projected on each step either: it is a combination of search
+    directions, each built from preconditioner outputs that already lie in
+    the subspace.
 
-    After set-up the loop allocates no grid-size arrays of its own (only
+    The vectors keep the dtype of `rhs` (float64 or float32); the inner
+    products are float64 (`dot`).  An operator or preconditioner with a
+    `with_dot` attribute (`FaceOperator`, `dct2_preconditioner`) has it
+    called instead, and returns the pair (output, input . output) from the
+    pass that writes the output; r.r is taken in the x/r update.  After
+    set-up the loop allocates no grid-size arrays of its own (only
     cache-sized temporaries); the operator and the preconditioner may.
     The vector updates run in `_row_blocks`, on several threads for large
-    grids; the inner products stay whole-array, so the iterates do not
-    depend on the thread count.  Non-finite data (right-hand side, curvature
-    p.Ap, or residual norm) raises SolverError at once instead of running
-    out the iteration budget.
+    grids, and the iterates do not depend on the thread count.  Non-finite
+    data (right-hand side, curvature p.Ap, or residual norm) raises
+    SolverError at once instead of running out the iteration budget.
 
     Returns (solution, info); raises SolverError if the relative residual
     has not dropped below `rtol` within `maxiter` iterations.
     """
     x = np.zeros_like(rhs)
     b = rhs if project is None else project(rhs.copy())
-    bnorm = math.sqrt(float(np.vdot(b, b)))
+    bnorm = math.sqrt(dot(b, b))
     if not math.isfinite(bnorm):
         raise SolverError("conjugate gradients got a non-finite right-hand side",
                           iterations=0)
     if bnorm == 0.0:
         return x, SolveInfo(0, 0.0)
 
+    operator = _with_dot(apply_operator)
+    precondition = _with_dot(apply_preconditioner)
     r = b.copy()
-    z = apply_preconditioner(r)
+    z, rz = precondition(r)
     p = z.copy()
-    rz = float(np.vdot(r, z))
     res = bnorm
     for it in range(1, maxiter + 1):
-        ap = apply_operator(p)
-        if project is not None:
-            ap = project(ap)
-        denom = float(np.vdot(p, ap))
+        ap, denom = operator(p)
         if not math.isfinite(denom):
             raise SolverError(
                 f"conjugate gradients met non-finite curvature (iteration {it})",
@@ -273,12 +360,12 @@ def pcg(
             )
         alpha = rz / denom
 
-        def update_x_r(i0: int, i1: int) -> None:
+        def update_x_r(i0: int, i1: int) -> float:
             x[i0:i1] += p[i0:i1] * alpha
             r[i0:i1] -= ap[i0:i1] * alpha
+            return _chunk_dot(r[i0:i1], r[i0:i1])
 
-        _row_blocks(r, update_x_r)
-        res = math.sqrt(float(np.vdot(r, r)))
+        res = math.sqrt(_row_sum(r, update_x_r))
         if not math.isfinite(res):
             raise SolverError(
                 f"conjugate gradients met a non-finite residual (iteration {it})",
@@ -288,8 +375,7 @@ def pcg(
             if project is not None:
                 x = project(x)
             return x, SolveInfo(it, res / bnorm)
-        z = apply_preconditioner(r)
-        rz_new = float(np.vdot(r, z))
+        z, rz_new = precondition(r)
         beta = rz_new / rz
 
         def update_p(i0: int, i1: int) -> None:
@@ -298,6 +384,7 @@ def pcg(
 
         _row_blocks(p, update_p)
         rz = rz_new
+        z = None  # free before the preconditioner allocates the next one
     raise SolverError(
         f"conjugate gradients did not reach rtol={rtol} in {maxiter} iterations",
         residual=res / bnorm,
@@ -330,25 +417,56 @@ class FaceOperator:
                  pinned: Optional[np.ndarray] = None) -> None:
         self.wx, self.wy, self.pinned = wx, wy, pinned
         self.shape = (wy.shape[0], wx.shape[1])
-        self._out = np.empty(self.shape)
+        self._out = np.empty(self.shape, np.result_type(wx, wy))
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """A phi, into an output array that every call reuses.
+        """A phi, into an output array that every call reuses, in the
+        weights' dtype (float32 weights and phi: float32 throughout).
 
         Runs in cache-sized row chunks (`_row_blocks`): each row takes its two
         axis-0 fluxes and its axis-1 fluxes, so no grid-size flux array
         exists, and grids of 512^2 cells or more spread the rows over the
         process's threads with bit-identical results."""
-        wx, wy, pinned, out = self.wx, self.wy, self.pinned, self._out
+        rows, out = self._rows(phi), self._out
+        _row_blocks(out, lambda i0, i1: rows(i0, i1, out[i0:i1]))
+        return out
+
+    __call__ = apply
+
+    def with_dot(self, phi: np.ndarray) -> tuple[np.ndarray, float]:
+        """(A phi, phi . A phi), the product taken chunk by chunk in the
+        pass that writes A phi (see `pcg`)."""
+        rows, out = self._rows(phi), self._out
+        return out, _row_sum(out, lambda i0, i1: _chunk_dot(
+            phi[i0:i1], rows(i0, i1, out[i0:i1])))
+
+    def residual(self, phi: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
+        """Write b - A phi into `out` (of any float dtype) and return its
+        float64 squared norm, both from one row pass in which A phi and
+        b - A phi exist only per chunk, in the weights' dtype."""
+        rows = self._rows(phi)
+
+        def chunk(i0: int, i1: int) -> float:
+            r = rows(i0, i1, np.empty((i1 - i0, self.shape[1]), self._out.dtype))
+            np.subtract(b[i0:i1], r, out=r)
+            out[i0:i1] = r
+            return _chunk_dot(r, r)
+
+        return _row_sum(out, chunk)
+
+    def _rows(self, phi: np.ndarray) -> Callable[[int, int, np.ndarray], np.ndarray]:
+        """The row kernel: rows(i0, i1, block) writes rows i0..i1-1 of A phi
+        into `block` and returns it."""
+        wx, wy, pinned = self.wx, self.wy, self.pinned
         n0, n1 = self.shape
         m1 = wy.shape[1]
 
-        def rows(i0: int, i1: int) -> None:
+        def rows(i0: int, i1: int, block: np.ndarray) -> np.ndarray:
             # fluxes through faces i0..i1 of axis 0 (face i lies below row
             # i; the end faces are the wrapped one or carry none), then row
             # i gets fx[i] - fx[i+1] and its axis-1 fluxes
             lo, hi = max(i0, 1), min(i1, n0 - 1)
-            fx = np.zeros((i1 - i0 + 1, n1))
+            fx = np.zeros((i1 - i0 + 1, n1), block.dtype)
             np.multiply(wx[lo - 1:hi], phi[lo:hi + 1] - phi[lo - 1:hi],
                         out=fx[lo - i0:hi - i0 + 1])
             if len(wx) == n0 and (i0 == 0 or i1 == n0):
@@ -357,7 +475,6 @@ class FaceOperator:
                     fx[0] = wrapped
                 if i1 == n0:
                     fx[-1] = wrapped
-            block = out[i0:i1]
             np.subtract(fx[:-1], fx[1:], out=block)
             fy = _differences(phi[i0:i1], 1, m1)
             fy *= wy[i0:i1]
@@ -370,9 +487,9 @@ class FaceOperator:
                     block[0] += pinned[0] * phi[0]
                 if i1 == n0:
                     block[-1] += pinned[1] * phi[-1]
+            return block
 
-        _row_blocks(out, rows)
-        return out
+        return rows
 
     def rhs(self, gx, gy) -> np.ndarray:
         """b with b[i] = t[i] - t[i-1] along each axis, t = w g the flux of
@@ -403,7 +520,8 @@ def _differences(phi: np.ndarray, axis: int, faces: int) -> np.ndarray:
     """phi[i+1] - phi[i] along `axis` (0 or 1) for i < `faces`; with as many
     faces as cells the last one wraps, phi[0] - phi[-1]."""
     n = phi.shape[axis]
-    d = np.empty((faces, phi.shape[1]) if axis == 0 else (len(phi), faces))
+    d = np.empty((faces, phi.shape[1]) if axis == 0 else (len(phi), faces),
+                 phi.dtype)
     lead = (slice(None),) * axis
     np.subtract(phi[lead + (slice(1, None),)], phi[lead + (slice(None, -1),)],
                 out=d[lead + (slice(None, n - 1),)])
@@ -465,7 +583,8 @@ _ROW_PAD_BYTES = 64
 
 
 def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
-                      dtype=np.float64) -> Callable[[np.ndarray], np.ndarray]:
+                      dtype=np.float64, restrict: Optional[np.ndarray] = None,
+                      ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of scale * (K0 (x) M1 + M0 (x) K1), given per axis the
     (transform, stiffness eigenvalues, mass eigenvalues) of K and M.
 
@@ -477,16 +596,22 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     out.
 
     With no periodic axis both transforms run in place on one work buffer
-    per instance, whose rows are padded by `_ROW_PAD_BYTES`, and each call
-    returns a fresh C-contiguous float64 copy of it; the eigenvalue grid is
-    not stored but rebuilt per row chunk of the division from the per-axis
-    vectors, with the same arithmetic.  `dtype` is that path's work
-    precision: the buffer, both transforms, the eigenvalues (rebuilt from
-    copies of the per-axis vectors and `scale` in `dtype`) and the
-    division run in it.  Such an instance is not reentrant: it must not be
-    applied from two threads at once.  The periodic paths ignore `dtype`:
-    they work in float64, transform into fresh arrays and divide by a
-    stored grid."""
+    per instance, whose rows are padded by `_ROW_PAD_BYTES`; the
+    eigenvalue grid is not stored but rebuilt per row chunk of the
+    division from the per-axis vectors, with the same arithmetic.  One
+    last chunked pass copies the buffer into a fresh C-contiguous array,
+    restricted to the True cells of the boolean mask `restrict` (if given)
+    and re-centred there: the inactive cells are zeroed, the mean over the
+    active ones (`_row_sum`) is subtracted and the inactive cells are
+    zeroed again.  The returned function's `with_dot(r)` gives the pair
+    (result, r . result) with the product taken in that pass (see `pcg`).
+    `dtype` is that path's work precision: the buffer, both transforms,
+    the eigenvalues (rebuilt from copies of the per-axis vectors and
+    `scale` in `dtype`), the division, the restriction and the result are
+    in it.  Such an instance is not reentrant: it must not be applied from
+    two threads at once.  The periodic paths take no `restrict` and ignore
+    `dtype`: they work in float64, transform into fresh arrays and divide
+    by a stored grid."""
     (t0, k0, m0), (t1, k1, m1) = axes
     transforms = (t0, t1)
     real = tuple(a for a in (0, 1) if transforms[a] != "rfft")
@@ -537,8 +662,13 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
         stored = None
         pad = _ROW_PAD_BYTES // dtype.itemsize
         padded = np.empty((shape[0], shape[1] + pad), dtype)[:, :shape[1]]
+    if restrict is not None:
+        if periodic:
+            raise ValueError("only the all-real path restricts its result")
+        inactive = np.nonzero(~restrict)
+        nact = int(restrict.sum())
 
-    def apply(r: np.ndarray) -> np.ndarray:
+    def transform(r: np.ndarray) -> np.ndarray:
         workers = _workers(r)
         if padded is None:
             w = r if ends is None else r * ends
@@ -563,8 +693,44 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
         if real:
             w = inverse(w, type=type_, axes=real, overwrite_x=True,
                         workers=workers)
-        return w if padded is None else w.astype(np.float64, order="C")
+        return w
 
+    if padded is None:
+        return transform
+
+    def last_pass(r: np.ndarray, dot: bool):
+        """A fresh output for the result of r, and the chunk kernel of the
+        last pass that writes it (returning its chunk of r . result when
+        `dot`)."""
+        w = transform(r)
+        out = np.empty(shape, dtype)
+        if restrict is None:
+            shift = None
+        else:
+            w[inactive] = 0.0
+            shift = _row_sum(w, lambda i0, i1: _chunk_sum(w[i0:i1])) / nact
+
+        def rows(i0: int, i1: int) -> Optional[float]:
+            block = out[i0:i1]
+            if shift is None:
+                block[...] = w[i0:i1]
+            else:
+                np.subtract(w[i0:i1], shift, out=block)
+                block *= restrict[i0:i1]
+            return _chunk_dot(r[i0:i1], block) if dot else None
+
+        return out, rows
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        out, rows = last_pass(r, False)
+        _row_blocks(out, rows)
+        return out
+
+    def with_dot(r: np.ndarray) -> tuple[np.ndarray, float]:
+        out, rows = last_pass(r, True)
+        return out, _row_sum(out, rows)
+
+    apply.with_dot = with_dot
     return apply
 
 
@@ -603,34 +769,30 @@ def dct2_preconditioner(
     """Inverse of scale * (reflective 5-point Laplacian) via 2-d DCT-II.
 
     When `restrict` (a boolean active mask) is given, the result is
-    restricted to the active cells and re-centered there
-    (`active_projection`), which keeps the preconditioner symmetric
-    positive definite on the masked subspace.
+    restricted to the active cells and re-centered there, which keeps the
+    preconditioner symmetric positive definite on the masked subspace.
 
     Both transforms run in place on one work buffer of shape
     (n0, n1 + one cache line) owned by the returned function: the padding
     breaks the power-of-two row stride that made the axis-0 pass miss the
     cache at 2048^2.  The eigenvalues are rebuilt per row chunk from the
-    per-axis vectors rather than stored.  Each call returns a fresh
-    C-contiguous float64 array, but the function is not reentrant: apply
-    it from one thread at a time (each solve builds its own).
+    per-axis vectors rather than stored.  One chunked pass copies the
+    buffer out, restricts it, and for the function's `with_dot` also
+    takes r . z (`pcg`).  Each call returns a fresh C-contiguous array,
+    but the function is not reentrant: apply it from one thread at a time
+    (each solve builds its own).
 
-    `dtype` is the work precision of the buffer, the transforms and the
-    eigenvalue division.  The float64 default is the exact inverse.
-    np.float32 halves the memory traffic of the transforms, and the
-    result is the inverse to about 1e-7 relative: symmetric and definite
-    only to that accuracy, which preconditioned CG, whose residual, steps
-    and stopping test stay in float64, absorbs (mixed-precision
-    preconditioning; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
-    The restriction runs in float64 either way.
+    `dtype` is the precision of the buffer, the transforms, the eigenvalue
+    division, the restriction and the result.  The float64 default is the
+    exact inverse.  np.float32 halves the memory traffic, and the result
+    is the inverse to about 1e-7 relative: symmetric and definite only to
+    that accuracy, which a CG whose inner products are float64 absorbs
+    (mixed-precision preconditioning; Carson & Higham, SIAM J. Sci.
+    Comput. 40, 2018).
     """
-    apply = _spectral_inverse(
+    return _spectral_inverse(
         shape, (_fv_axis("dct2", shape[0]), _fv_axis("dct2", shape[1])), scale,
-        dtype)
-    if restrict is None:
-        return apply
-    project = active_projection(restrict)
-    return lambda r: project(apply(r))
+        dtype, restrict)
 
 
 def q1_node_preconditioner(

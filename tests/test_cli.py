@@ -112,6 +112,16 @@ def test_cell_too_small_resolution_exits_2(tmp_path, capsys):
         assert "config error" in err and message in err
 
 
+def test_cell_raster_with_an_infinite_sample_exits_2(tmp_path, capsys):
+    raster = tmp_path / "raster.txt"
+    raster.write_text("2\n1 inf\n2 3\n", encoding="utf-8")
+    cfg = _config(tmp_path, {"coefficient": {"kind": "raster", "path": str(raster)},
+                             "resolution": 32})
+    assert cli.main(["cell", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite and positive" in err
+
+
 def test_bad_domain_exits_2(tmp_path, capsys):
     base = {
         "coefficient": {"kind": "constant", "value": 1.0},

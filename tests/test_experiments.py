@@ -156,6 +156,7 @@ def test_run_scaling_study_constant_coefficient(tmp_path):
     assert [s["epsilon"] for s in solves] == [r.epsilon for r in rows]
     for s in solves:
         assert s["iterations"] > 0
+        assert s["outer_steps"] >= 1
         assert 0.0 < s["relative_residual"] <= 1e-8
 
 

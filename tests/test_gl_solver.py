@@ -164,42 +164,84 @@ def test_core_radius_energy_frozen_value():
     assert info.relative_residual <= 1e-8
 
 
+def _textbook_cg(apply_operator, rhs, apply_preconditioner, *, rtol, maxiter):
+    """Reference preconditioned CG, independent of `solvers.pcg`: allocates
+    every update and sums with whole-array np.sum."""
+    x = np.zeros_like(rhs)
+    bnorm = float(np.linalg.norm(rhs))
+    r = rhs.copy()
+    z = apply_preconditioner(r)
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    for it in range(1, maxiter + 1):
+        ap = apply_operator(p)
+        alpha = rz / float(np.sum(p * ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        res = float(np.linalg.norm(r))
+        if res <= rtol * bnorm:
+            return x, solvers.SolveInfo(it, res / bnorm)
+        z = apply_preconditioner(r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise solvers.SolverError("budget", iterations=maxiter)
+
+
+def _float64_inner_solve(monkeypatch):
+    """Make `core_radius_energy`'s inner solve float64: face weights, CG
+    vectors and the DCT-II preconditioner."""
+    monkeypatch.setattr(gl_solver, "_INNER_DTYPE", np.float64)
+
+
+def _float64_reference(monkeypatch, mu, params):
+    """The proxy energy from one float64 solve to rtol 1e-12 by
+    `_textbook_cg`, with the exact float64 preconditioner."""
+    with monkeypatch.context() as m:
+        _float64_inner_solve(m)
+        m.setattr(gl_solver, "_INNER_RTOL", 1e-12)
+        m.setattr(gl_solver, "pcg", _textbook_cg)
+        energy, info = core_radius_energy(mu, params, rtol=1e-12)
+    assert info.outer_steps == 1
+    return energy
+
+
 # the first three rows of the scaling study (checkerboard(1, 4), delta = eps,
-# default grid of 4/eps cells): the set-up and the preconditioner may change
-# how they compute, never a bit of what.  Only a change of precision moved a
-# row: the float32 preconditioner moved k = 7 by one ulp, from
-# 51.99518018093438 (the float64 preconditioner's value, checked below).
+# default grid of 4/eps cells): the set-up and the solver may change how
+# they compute, never a bit of what, except by a change of precision.  The
+# float32 preconditioner moved k = 7 by one ulp, and the float32 inner CG
+# under float64 refinement moved k = 5 by 4 ulps and k = 7 by 6 (float64
+# CG with a float32 preconditioner: 34.54896529298041, 43.27626179433605
+# and 51.995180180934376 in 21 iterations); each pin agrees with a float64
+# CG to rtol 1e-12 within 1e-12 relative.
 @pytest.mark.parametrize("k, expected", [
-    (5, 34.54896529298041), (6, 43.27626179433605), (7, 51.995180180934376)])
-def test_core_radius_energy_scaling_rows_are_exact(k, expected):
+    (5, 34.54896529298044), (6, 43.27626179433605), (7, 51.99518018093442)])
+def test_core_radius_energy_scaling_rows_are_exact(monkeypatch, k, expected):
     eps = 2.0**-k
     mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)
     params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
                      n=16)
     energy, info = core_radius_energy(mu, params)
     assert energy == expected
-    assert info.iterations == 21
-
-
-def _float64_preconditioner(monkeypatch):
-    """Make `core_radius_energy` precondition with the exact float64
-    inverse instead of the float32 one."""
-    exact = solvers.dct2_preconditioner
-    monkeypatch.setattr(
-        gl_solver, "dct2_preconditioner",
-        lambda shape, scale, restrict=None, dtype=None:
-            exact(shape, scale, restrict))
+    assert (info.iterations, info.outer_steps) == (23, 2)
+    assert info.relative_residual <= 1e-8
+    reference = _float64_reference(monkeypatch, mu, params)
+    assert energy == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_core_radius_energy_k7_row_with_the_float64_preconditioner(monkeypatch):
-    _float64_preconditioner(monkeypatch)
+    # the same refinement with a float64 inner solve (float64 weights, CG
+    # and preconditioner): the float32 one takes as many iterations
     eps = 2.0**-7
     mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)
     params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
                      n=16)
+    reference = _float64_reference(monkeypatch, mu, params)
+    _float64_inner_solve(monkeypatch)
     energy, info = core_radius_energy(mu, params)
-    assert energy == 51.99518018093438
-    assert info.iterations == 21
+    assert energy == 51.995180180934376
+    assert (info.iterations, info.outer_steps) == (23, 2)
+    assert energy == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("rtol", [1e-8, 1e-12])
@@ -208,15 +250,67 @@ def test_core_radius_energy_k7_row_with_the_float64_preconditioner(monkeypatch):
     (6, (((0.43, 0.52), 1), ((0.7, 0.3), -1)))])
 def test_float32_preconditioner_keeps_iterations_and_energy(monkeypatch, k,
                                                             atoms, rtol):
+    # the float32 inner solve (weights, CG and preconditioner) against the
+    # float64 one under the same refinement
     eps = 2.0**-k
     mu = VortexMeasure(atoms, UNIT)
     params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
                      n=16)
     energy, info = core_radius_energy(mu, params, rtol=rtol)
-    _float64_preconditioner(monkeypatch)
+    _float64_inner_solve(monkeypatch)
     want, want_info = core_radius_energy(mu, params, rtol=rtol)
     assert info.iterations == want_info.iterations
+    assert info.outer_steps == want_info.outer_steps
+    assert info.relative_residual <= rtol
     assert energy == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _one_vortex_k6():
+    eps = 2.0**-6
+    return (VortexMeasure((((0.5, 0.5), 1),), UNIT),
+            _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
+                    n=16))
+
+
+def test_refinement_fails_on_a_non_finite_residual(monkeypatch):
+    def broken(*args, **kwargs):
+        x, info = solvers.pcg(*args, **kwargs)
+        x[3, 4] = np.nan
+        return x, info
+
+    monkeypatch.setattr(gl_solver, "pcg", broken)
+    with pytest.raises(solvers.SolverError, match="non-finite residual") as err:
+        core_radius_energy(*_one_vortex_k6())
+    assert err.value.iterations > 0
+
+
+def test_refinement_fails_when_a_step_does_not_lower_the_residual(monkeypatch):
+    def stuck(*args, **kwargs):
+        x, info = solvers.pcg(*args, **kwargs)
+        return np.zeros_like(x), info
+
+    monkeypatch.setattr(gl_solver, "pcg", stuck)
+    with pytest.raises(solvers.SolverError, match="stagnated") as err:
+        core_radius_energy(*_one_vortex_k6())
+    assert err.value.residual == pytest.approx(1.0)
+
+
+def test_refinement_counts_inner_iterations_against_one_budget(monkeypatch):
+    # 50 n inner iterations in all: each step gets what the earlier left
+    calls = []
+
+    def recording(*args, maxiter, **kwargs):
+        x, info = solvers.pcg(*args, maxiter=maxiter, **kwargs)
+        calls.append((maxiter, info.iterations))
+        return x, info
+
+    monkeypatch.setattr(gl_solver, "pcg", recording)
+    mu, params = _one_vortex_k6()
+    _, info = core_radius_energy(mu, params, n=64)
+    assert len(calls) == info.outer_steps == 2
+    assert calls[0][0] == 50 * 64
+    assert calls[1][0] == 50 * 64 - calls[0][1]
+    assert info.iterations == calls[0][1] + calls[1][1]
 
 
 def test_core_radius_energy_scales_with_constant_coefficient():

@@ -1,7 +1,10 @@
 """CG driver and spectral preconditioners against direct solves."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,10 +306,59 @@ def test_pcg_matches_textbook_loop(monkeypatch, case):
 
     energy, infos = run(pcg)
     ref_energy, ref_infos = run(_textbook_pcg)
-    assert len(infos) == len(ref_infos) == 1
-    assert infos[0].iterations == ref_infos[0].iterations
-    # the vdot reductions sum in another order than np.sum
+    # one CG run per solve; the core-radius refinement runs one per step
+    assert len(infos) == len(ref_infos) == (2 if module is gl_solver else 1)
+    assert [i.iterations for i in infos] == [i.iterations for i in ref_infos]
+    # the chunked float64 sums add in another order than np.sum
     assert energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
+
+
+def _homogenized_annulus(z):
+    grid = singularity_cost.PolarGrid((0.0, 0.0), 1.0, 100.0, 200, 128)
+    tensor = cell_problem.HomogenizedTensor(1.0, 0.3, 4.0, 0, 0.0)
+    problem = singularity_cost.AnnulusProblem(grid, z, tensor=tensor)
+    return singularity_cost, lambda: singularity_cost.min_annulus_energy(problem)[0]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _annulus(False),
+    lambda: _homogenized_annulus(1),
+    lambda: _homogenized_annulus(2),
+], ids=["free-annulus", "homogenized-z1", "homogenized-z2"])
+def test_annuli_need_no_projection_of_the_operator_output(monkeypatch, case):
+    # pcg projects only the right-hand side and the solution: the annulus
+    # operators keep mean-zero functions up to rounding, and projecting
+    # every output as well changes neither the iteration counts nor the
+    # energy beyond rounding
+    module, solve = case()
+
+    def run(projecting):
+        infos = []
+
+        def recording(apply_operator, rhs, apply_preconditioner, **kwargs):
+            project = kwargs.get("project")
+            assert project is not None
+            op = ((lambda v: project(apply_operator(v))) if projecting
+                  else apply_operator)
+            x, info = pcg(op, rhs, apply_preconditioner, **kwargs)
+            infos.append(info.iterations)
+            return x, info
+
+        monkeypatch.setattr(module, "pcg", recording)
+        return solve(), infos
+
+    energy, counts = run(False)
+    ref_energy, ref_counts = run(True)
+    assert counts == ref_counts
+    assert energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
+
+
+def test_cell_corrector_projects_its_operator_output():
+    # the periodic corrector is the one solve whose counts moved without the
+    # projection: 35 iterations instead of 34 for this direction
+    solution = cell_problem.solve_corrector(
+        coefficients.checkerboard(1.0, 100.0), (0.0, 1.0), 64)
+    assert solution.iterations == 34
 
 
 def test_transform_threads_do_not_change_preconditioners(monkeypatch):
@@ -334,14 +386,24 @@ def test_transform_threads_do_not_change_preconditioners(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def _chunked_sum(w):
+    """Float64 sum of a 2-d array in row chunks of at most 2^15 elements,
+    each chunk summed by rows and the chunks added in order."""
+    step = max(1, 2**15 * w.shape[0] // w.size)
+    total = 0.0
+    for i in range(0, len(w), step):
+        total += float(w[i:i + step].sum(axis=1, dtype=np.float64).sum())
+    return total
+
+
 def _dense_dct2(shape, scale, mask=None, dtype=np.float64):
     """The DCT-II preconditioner with a stored eigenvalue grid, transforms
     into fresh arrays, and restriction by whole-array products with the
-    mask, `w *= mask; w -= w.sum() / nact; w *= mask`: the oracle for the
-    chunked eigenvalues, the padded in-place transforms and the
-    index-based restriction.  `dtype` is the precision of the transforms
-    and the division (eigenvalues computed in float64, then rounded); the
-    result and the restriction are float64."""
+    mask, `w *= mask; w -= mean; w *= mask`: the oracle for the chunked
+    eigenvalues, the padded in-place transforms and the fused last pass.
+    `dtype` is the precision of the transforms, the division (eigenvalues
+    computed in float64, then rounded), the restriction and the result;
+    the mean is summed in float64 in a fixed chunk order (`_chunked_sum`)."""
     lam0 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[0]) / shape[0])
     lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[1]) / shape[1])
     lam0, lam1 = lam0.astype(dtype), lam1.astype(dtype)
@@ -352,10 +414,10 @@ def _dense_dct2(shape, scale, mask=None, dtype=np.float64):
         w = sfft.dctn(r.astype(dtype), type=2)
         w /= ell
         w[0, 0] = 0.0
-        w = sfft.idctn(w, type=2, overwrite_x=True).astype(np.float64)
+        w = sfft.idctn(w, type=2, overwrite_x=True)
         if mask is not None:
             w *= mask
-            w -= w.sum() / int(mask.sum())
+            w -= _chunked_sum(w) / int(mask.sum())
             w *= mask
         return w
 
@@ -413,7 +475,7 @@ def test_float32_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape,
                                   dtype=np.float32)
         first = pre(r)
         second = pre(2.0 * r)
-        assert first.dtype == np.float64 and first.flags.c_contiguous
+        assert first.dtype == np.float32 and first.flags.c_contiguous
         assert not np.shares_memory(first, second)
         oracle = _dense_dct2(shape, 1.7, restrict, dtype=np.float32)
         assert np.array_equal(first, oracle(r))
@@ -436,7 +498,7 @@ def test_float32_dct2_preconditioner_is_close_and_symmetric_on_a_mask():
     want = exact(u)
     got = single(u)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
-    assert np.array_equal(got, got * mask)  # restricted in float64
+    assert np.array_equal(got, got * mask)  # restricted in float32
     assert np.sum(v * got) == pytest.approx(np.sum(u * single(v)), rel=1e-5)
     assert np.sum(u * got) > 0.0
 
@@ -527,6 +589,126 @@ def test_row_blocks_from_many_threads_cover_every_row_once(monkeypatch):
         assert np.all(a == calls)
 
 
+# -- owned reductions ---------------------------------------------------------------
+
+
+def _ordered_chunk_dot(u, v):
+    """u . v as the chunks of `_row_blocks` give it, written out: row chunks
+    of at most 2^15 elements, each summed in float64, added in order."""
+    u2, v2 = u.reshape(len(u), -1), v.reshape(len(v), -1)
+    step = max(1, 2**15 * len(u2) // u2.size)
+    total = 0.0
+    for i in range(0, len(u2), step):
+        a, b = u2[i:i + step].ravel(), v2[i:i + step].ravel()
+        total += float(np.einsum("i,i->", a, b) if a.dtype == np.float64
+                       else np.sum(np.multiply(a, b, dtype=np.float32),
+                                   dtype=np.float64))
+    return total
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((640, 520), np.float64), ((512, 512), np.float32), ((12, 12), np.float64),
+    ((70_000,), np.float64)])
+def test_dot_has_the_same_bits_for_every_worker_count(monkeypatch, shape,
+                                                      dtype):
+    rng = np.random.default_rng(30)
+    u = rng.standard_normal(shape).astype(dtype)
+    v = rng.standard_normal(shape).astype(dtype)
+    results = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(solvers, "_WORKERS", workers)
+        results.add(solvers.dot(u, v))
+    assert results == {_ordered_chunk_dot(u, v)}
+    exact = float(np.dot(u.astype(np.float64).ravel(), v.astype(np.float64).ravel()))
+    assert results.pop() == pytest.approx(exact, rel=1e-12 if dtype == np.float64
+                                          else 1e-6)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (512, 512), (640, 520)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fused_dots_match_the_unfused_ones(monkeypatch, shape, dtype):
+    # `with_dot` takes the product in the pass that writes the output; its
+    # bits must be those of `dot` after the call, for every worker count
+    rng = np.random.default_rng(31)
+    mask = rng.uniform(size=shape) > 0.2
+    wx, wy, _ = _face_case("masked", shape, rng)
+    operator = solvers.FaceOperator(wx.astype(dtype), wy.astype(dtype))
+    phi = rng.standard_normal(shape).astype(dtype)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(solvers, "_WORKERS", workers)
+        for restrict in (None, mask):
+            pre = dct2_preconditioner(shape, 1.3, restrict=restrict, dtype=dtype)
+            z, rz = pre.with_dot(phi)
+            plain = pre(phi)
+            assert z.dtype == dtype
+            assert np.array_equal(z, plain)
+            assert rz == solvers.dot(phi, plain)
+            results.append((z.tobytes(), rz))
+        ap, pap = operator.with_dot(phi)
+        assert ap.dtype == dtype
+        assert pap == solvers.dot(phi, operator.apply(phi).copy())
+        results.append((ap.tobytes(), pap))
+    assert results[:3] == results[3:6] == results[6:]
+
+
+def test_pcg_runs_in_float32_with_float64_inner_products():
+    n = 64
+    rng = np.random.default_rng(32)
+    u = rng.standard_normal((n, n))
+    b = _periodic_laplacian(u - u.mean()).astype(np.float32)
+
+    def project(v):
+        v -= v.mean()
+        return v
+
+    op = solvers.FaceOperator(np.ones((n, n), np.float32), np.ones((n, n), np.float32))
+    x, info = pcg(op, b, periodic_fft_preconditioner((n, n), 1.0), rtol=1e-4,
+                  maxiter=100, project=project)
+    assert x.dtype == np.float32
+    residual = np.linalg.norm(_periodic_laplacian(x.astype(np.float64)) - b)
+    assert residual <= 2e-4 * np.linalg.norm(b)
+
+
+_BLAS_PROBE = """
+import numpy as np
+from vortexlab import coefficients, gl_solver
+from vortexlab.fields import CartesianGrid
+from vortexlab.vortex_analysis import Rectangle, VortexMeasure
+checker = coefficients.checkerboard(1.0, 4.0)
+unit = Rectangle((0.0, 0.0), (1.0, 1.0))
+mu = VortexMeasure((((0.43, 0.52), 1), ((0.7, 0.3), -1)), unit)
+params = gl_solver.GLParameters(
+    0.05, 0.05, checker, CartesianGrid((0.0, 0.0), (1.0, 1.0), (16, 16)))
+energy, info = gl_solver.core_radius_energy(mu, params, n=512)
+print(energy.hex(), info.relative_residual.hex(), info.iterations)
+eps = 2.0**-5
+params = gl_solver.GLParameters(
+    eps, eps, checker, CartesianGrid((0.0, 0.0), (1.0, 1.0), (128, 128)))
+start = gl_solver.recovery_field(VortexMeasure((((0.5, 0.5), 1),), unit), params)
+report = gl_solver.minimize_gl(start, params, gl_solver.MinimizeBudget(60))
+print([e.hex() for e in report.trace])
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # np.vdot hands long float64 vectors to the BLAS, which splits them over
+    # its threads; the owned reductions must give the same bits either way
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 2
+    assert outputs[0] == outputs[1]
+
+
 # -- the face operator ---------------------------------------------------------------
 
 
@@ -571,6 +753,21 @@ def _dense_face_matrix(wx, wy, pinned, shape):
             a[j, j] += pinned[0, j]
             a[(n0 - 1) * n1 + j, (n0 - 1) * n1 + j] += pinned[1, j]
     return a
+
+
+@pytest.mark.parametrize("kind", FACE_KINDS)
+def test_face_operator_residual_is_one_pass_of_b_minus_a_phi(kind):
+    shape = (600, 520)  # threaded
+    rng = np.random.default_rng(22)
+    wx, wy, pinned = _face_case(kind, shape, rng)
+    op = solvers.FaceOperator(wx, wy, pinned)
+    phi, b = rng.standard_normal((2,) + shape)
+    want = b - op.apply(phi)
+    for dtype in (np.float64, np.float32):
+        out = np.empty(shape, dtype)
+        squared = op.residual(phi, b, out)
+        assert np.array_equal(out, want.astype(dtype))
+        assert squared == solvers.dot(want, want)
 
 
 @pytest.mark.parametrize("kind", FACE_KINDS)

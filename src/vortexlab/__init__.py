@@ -35,7 +35,6 @@ from .fields import (
     PolarGrid,
     ScalarField2D,
     VectorField2D,
-    integrate,
 )
 from .solvers import SolverError
 from .vortex_analysis import (
@@ -93,7 +92,6 @@ __all__ = [
     "PolarGrid",
     "ScalarField2D",
     "VectorField2D",
-    "integrate",
     "HomogenizedTensor",
     "CorrectorSolution",
     "TensorRefinement",

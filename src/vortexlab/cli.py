@@ -49,7 +49,13 @@ from .gl_solver import (
     minimize_gl,
     recovery_field,
 )
-from .singularity_cost import _MIN_CELLS_PER_PERIOD, capital_psi, psi_of_z
+from .singularity_cost import (
+    _MIN_CELLS_PER_PERIOD,
+    DEFAULT_CELLS_PER_PERIOD,
+    capital_psi,
+    oscillating_annulus_grid,
+    psi_of_z,
+)
 from .solvers import SolverError
 from .vortex_analysis import VortexMeasure, flat_distance
 
@@ -167,6 +173,13 @@ def _cmd_psi(args: argparse.Namespace) -> int:
                     f"'cells_per_period' must be >= {_MIN_CELLS_PER_PERIOD:g}"
                 )
             kwargs["cells_per_period"] = cells
+        for ratio in ratios:
+            try:
+                oscillating_annulus_grid(1.0, ratio, kwargs["delta"],
+                                         kwargs.get("cells_per_period",
+                                                    DEFAULT_CELLS_PER_PERIOD))
+            except ValueError as exc:  # a grid too fine to allocate
+                raise ConfigError(str(exc)) from exc
     else:
         kwargs["n_theta"] = _integer_at_least(data.get("n_theta", 256), 16,
                                               "'n_theta'")

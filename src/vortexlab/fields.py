@@ -1,4 +1,4 @@
-"""Discretization substrate: grids, scalar/vector fields, quadrature.
+"""Discretization substrate: grids and scalar/vector fields.
 
 Two grid families cover every computation in the package:
 
@@ -17,8 +17,6 @@ polar grid (the discrete form of a multivalued angle lifting).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "PolarGrid",
     "ScalarField2D",
     "VectorField2D",
-    "integrate",
 ]
 
 
@@ -118,15 +115,6 @@ class PolarGrid:
     def dtheta(self) -> float:
         return 2.0 * np.pi / self.n_theta
 
-    def node_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical coordinate arrays X, Y of shape (n_r, n_theta)."""
-        rho = self.rho()[:, None]
-        th = self.theta()[None, :]
-        return (
-            self.center[0] + rho * np.cos(th),
-            self.center[1] + rho * np.sin(th),
-        )
-
 
 Grid = CartesianGrid | PolarGrid
 
@@ -167,37 +155,3 @@ class VectorField2D:
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         _check_shape(self.grid, self.values, 2)
-
-
-# -- quadrature ----------------------------------------------------------------
-
-
-def _node_weights(grid: Grid) -> np.ndarray:
-    """Trapezoidal quadrature weights per node (area elements included)."""
-    if isinstance(grid, CartesianGrid):
-        nx, ny = grid.n
-        wx = np.full(nx + 1, grid.h)
-        wx[0] = wx[-1] = 0.5 * grid.h
-        wy = np.full(ny + 1, grid.h)
-        wy[0] = wy[-1] = 0.5 * grid.h
-        return wx[:, None] * wy[None, :]
-    rho = grid.rho()
-    wr = np.zeros_like(rho)
-    wr[1:-1] = 0.5 * (rho[2:] - rho[:-2])
-    wr[0] = 0.5 * (rho[1] - rho[0])
-    wr[-1] = 0.5 * (rho[-1] - rho[-2])
-    # periodic rectangle rule in theta; area element rho drho dtheta
-    return (rho * wr)[:, None] * np.full((1, grid.n_theta), grid.dtheta)
-
-
-def integrate(density: ScalarField2D, mask: Optional[np.ndarray] = None) -> float:
-    """Quadrature of a nodal density over the grid domain.
-
-    Exact for constants times area on Cartesian grids; second order for
-    smooth densities.  Masked nodes (mask False) contribute nothing.
-    """
-    w = _node_weights(density.grid)
-    vals = density.values
-    if mask is not None:
-        w = np.where(mask, w, 0.0)
-    return float(np.sum(w * vals))

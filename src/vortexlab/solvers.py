@@ -46,16 +46,26 @@ to be faulted in on every forward call.  That path stores no eigenvalue
 grid, so the buffer costs no memory: each row chunk of the division
 rebuilds its block from the per-axis eigenvalue vectors.
 
-Work precision.  Everything runs in float64 except where a caller asks
-the all-real path for float32 (`dct2_preconditioner(..., dtype=)`): then
-its buffer, transforms, eigenvalue division, restriction and result are
-float32.  The core-radius proxy does so, inside a float32 inner CG on
-float32 face weights whose corrections a float64 outer loop refines
-(`gl_solver.core_radius_energy`): its 2048^2 masked solve is
-memory-bound, and float32 halves the bytes each iteration moves.  The
-periodic FFT, mixed and Q1 paths stay float64, so the cell corrector and
-the annulus solves they serve keep their accuracy, and the Q1 inverse is
-exact, where float32 would turn its one CG iteration into several.
+Work precision.  Everything runs in float64 except where a caller asks a
+spectral inverse for float32 (`dtype=`); CG absorbs an inverse that is
+exact only to about 1e-7 relative (Carson & Higham, SIAM J. Sci. Comput.
+40, 2018).  Two solves do:
+
+  * the core-radius proxy (`dct2_preconditioner`): its buffer,
+    transforms, eigenvalue division, restriction and result are float32,
+    inside a float32 inner CG on float32 face weights whose corrections a
+    float64 outer loop refines (`gl_solver.core_radius_energy`).  Its
+    2048^2 masked solve is memory-bound, and float32 halves the bytes each
+    iteration moves.
+  * the oscillating annulus (`mixed_dct_fft_preconditioner`): its
+    transforms and eigenvalue division are float32, and one last chunked
+    pass casts the result back for the float64 CG.  There the DCT-II
+    along 737 = 11 * 67 rows and the real FFT along 1006 = 2 * 503
+    columns are large-prime transforms, and float32 halves their cost.
+
+The cell corrector's periodic FFT and the Q1 inverse stay float64: the
+Q1 inverse is exact, where float32 would turn its one CG iteration into
+several, and the homogenized annulus solves to rtol 1e-12.
 
 Work on arrays of 512 x 512 points or more runs on as many threads as the
 process may use (its CPU affinity, read once at import); smaller arrays
@@ -73,10 +83,10 @@ the array's shape alone, the partials added in chunk order.  numpy's
 own threads, so its bits depend on the BLAS thread count; these sums do
 not.  The chunk that computes a partial is often already in cache: CG
 takes r.r in its x/r update, p.Ap in `FaceOperator`'s row pass and r.z in
-the masked DCT-II's last pass (`with_dot`).  Each 1-d transform and each
-element is computed the same way whatever the thread count, so solutions
-are bit-for-bit the same for every `_WORKERS`, core count and BLAS
-setting.
+the last pass of the DCT-II and of the float32 mixed inverse
+(`with_dot`).  Each 1-d transform and each element is computed the same
+way whatever the thread count, so solutions are bit-for-bit the same for
+every `_WORKERS`, core count and BLAS setting.
 """
 
 from __future__ import annotations
@@ -595,6 +605,10 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     pinned, the constant mode, whose eigenvalue is exactly 0, is projected
     out.
 
+    `dtype` is the work precision: the transforms, the eigenvalues (from
+    copies of the per-axis vectors and `scale` in `dtype`) and the
+    division run in it.
+
     With no periodic axis both transforms run in place on one work buffer
     per instance, whose rows are padded by `_ROW_PAD_BYTES`; the
     eigenvalue grid is not stored but rebuilt per row chunk of the
@@ -603,15 +617,19 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     restricted to the True cells of the boolean mask `restrict` (if given)
     and re-centred there: the inactive cells are zeroed, the mean over the
     active ones (`_row_sum`) is subtracted and the inactive cells are
-    zeroed again.  The returned function's `with_dot(r)` gives the pair
-    (result, r . result) with the product taken in that pass (see `pcg`).
-    `dtype` is that path's work precision: the buffer, both transforms,
-    the eigenvalues (rebuilt from copies of the per-axis vectors and
-    `scale` in `dtype`), the division, the restriction and the result are
-    in it.  Such an instance is not reentrant: it must not be applied from
-    two threads at once.  The periodic paths take no `restrict` and ignore
-    `dtype`: they work in float64, transform into fresh arrays and divide
-    by a stored grid."""
+    zeroed again.  The buffer, the restriction and the result are in
+    `dtype`.  Such an instance is not reentrant: it must not be applied
+    from two threads at once.
+
+    With a periodic axis the transforms go into fresh arrays (`r` cast to
+    `dtype` first) and the division is by a stored grid; no `restrict` is
+    taken.  The result is float64, for the float64 CGs these paths serve:
+    in float64 it is the last transform's output, and in float32 one last
+    chunked pass casts it into a fresh array.
+
+    Where there is a last pass, the returned function's `with_dot(r)`
+    gives the pair (result, r . result) with the product taken in that
+    pass (see `pcg`)."""
     (t0, k0, m0), (t1, k1, m1) = axes
     transforms = (t0, t1)
     real = tuple(a for a in (0, 1) if transforms[a] != "rfft")
@@ -625,12 +643,14 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     # finite-volume axes have unit mass, where k0 (x) 1 + 1 (x) k1 is the
     # same sum without its (exact) products by 1, and half the work
     unit_mass = bool(np.all(m0 == 1.0) and np.all(m1 == 1.0))
-    if not periodic:
-        # eigenvalues in the work precision: float64 ones would upcast the
-        # division of a float32 buffer
-        dtype = np.dtype(dtype)
-        k0, m0, k1, m1 = (v.astype(dtype) for v in (k0, m0, k1, m1))
-        scale = dtype.type(scale)
+    # eigenvalues in the work precision: float64 ones would upcast the
+    # division of float32 (or complex64) data
+    dtype = np.dtype(dtype)
+    k0, m0, k1, m1 = (v.astype(dtype) for v in (k0, m0, k1, m1))
+    scale = dtype.type(scale)
+    # the periodic paths serve float64 CGs (cell corrector, annuli), so their
+    # result is float64 whatever the work precision
+    result = np.dtype(np.float64) if periodic else dtype
 
     def eigenvalues(i0: int, i1: int) -> np.ndarray:
         """Rows i0..i1 - 1 of the eigenvalue grid, the zero mode's set to 1."""
@@ -672,6 +692,8 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
         workers = _workers(r)
         if padded is None:
             w = r if ends is None else r * ends
+            if w.dtype != dtype:
+                w = w.astype(dtype)
         else:
             w = padded
             w[...] = r if ends is None else r * ends
@@ -695,15 +717,15 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
                         workers=workers)
         return w
 
-    if padded is None:
-        return transform
+    if padded is None and result == dtype:
+        return transform  # a fresh array in the result's dtype already
 
     def last_pass(r: np.ndarray, dot: bool):
         """A fresh output for the result of r, and the chunk kernel of the
         last pass that writes it (returning its chunk of r . result when
         `dot`)."""
         w = transform(r)
-        out = np.empty(shape, dtype)
+        out = np.empty(shape, result)
         if restrict is None:
             shift = None
         else:
@@ -744,7 +766,7 @@ def periodic_fft_preconditioner(
 
 def mixed_dct_fft_preconditioner(
     shape: tuple[int, int], coeff_axis0: float, coeff_axis1: float,
-    *, pinned: bool = False,
+    *, pinned: bool = False, dtype=np.float64,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Inverse of the constant-coefficient cell-centered operator with axis 0
     bounded and axis 1 periodic, eigenvalue coeff0*lam0(p) + coeff1*lam_P(q).
@@ -755,10 +777,18 @@ def mixed_dct_fft_preconditioner(
     DST-II, lam0 = 2 - 2 cos(pi (p + 1) / n0)).  The reflective operator
     is singular; its constant mode is projected out, so pair it with a
     mean-zero projection.  The pinned one is definite and nothing is
-    projected."""
+    projected.
+
+    `dtype` is the precision of the transforms and the eigenvalue
+    division; the result is float64 either way.  The float64 default is
+    the exact inverse.  With np.float32 the transforms cost less, and the
+    result is the inverse to about 1e-7 relative, symmetric only to that
+    accuracy, which a float64 CG absorbs (as for `dct2_preconditioner`).
+    The returned function then has `with_dot`: one chunked pass casts the
+    result to float64 and takes r . z (`pcg`)."""
     axis0 = _fv_axis("dst2" if pinned else "dct2", shape[0], coeff_axis0)
     return _spectral_inverse(
-        shape, (axis0, _fv_axis("rfft", shape[1], coeff_axis1)), 1.0)
+        shape, (axis0, _fv_axis("rfft", shape[1], coeff_axis1)), 1.0, dtype)
 
 
 def dct2_preconditioner(

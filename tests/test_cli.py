@@ -94,6 +94,19 @@ def test_psi_bad_keys_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_psi_delta_too_fine_to_allocate_exits_2(tmp_path, capsys):
+    # the grid used to be sized and then fail in numpy with a traceback
+    # ("Maximum allowed size exceeded"); it is now refused before any array
+    cfg = _config(tmp_path, {
+        "coefficient": {"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
+        "delta": 1e-300,
+    })
+    assert cli.main(["psi", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "delta = 1e-300" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_cell_too_small_resolution_exits_2(tmp_path, capsys):
     coeff = {"kind": "constant", "value": 1.0}
     cases = (

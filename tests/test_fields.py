@@ -1,4 +1,4 @@
-"""Grids, field validation and quadrature."""
+"""Grids and field validation."""
 
 import math
 
@@ -10,7 +10,6 @@ from vortexlab.fields import (
     PolarGrid,
     ScalarField2D,
     VectorField2D,
-    integrate,
 )
 
 
@@ -41,15 +40,6 @@ def test_polar_grid_log_spacing():
     assert th[0] == 0.0
     assert len(th) == 32  # periodic, no duplicate seam node
     assert th[-1] < 2.0 * math.pi
-
-
-def test_integrate_constant_and_bilinear():
-    g = CartesianGrid((0.0, 0.0), (2.0, 1.0), (32, 16))
-    xx, yy = g.node_mesh()
-    assert integrate(ScalarField2D(g, np.ones_like(xx))) == pytest.approx(2.0)
-    # trapezoid quadrature is exact for bilinear integrands
-    val = integrate(ScalarField2D(g, xx * yy))
-    assert val == pytest.approx(2.0 * 0.5, rel=1e-12)
 
 
 def test_vector_field_shape_validation():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexlab import coefficients, singularity_cost
 from vortexlab.cell_problem import HomogenizedTensor
@@ -50,6 +53,30 @@ def test_grid_builder_resolves_inner_radius():
     assert max(ds, g.dtheta) * 1.0 <= 0.5 / 8.0 * (1 + 1e-12)
     with pytest.raises(ValueError):
         oscillating_annulus_grid(1.0, 8.0, 0.5, cells_per_period=4.0)
+
+
+@pytest.mark.parametrize("r_inner, r_outer, delta, message", [
+    (1.0, 100.0, -0.1, "delta"),
+    (1.0, 100.0, 0.0, "delta"),
+    (1.0, 100.0, math.nan, "delta"),
+    (1.0, 100.0, math.inf, "delta"),
+    (0.0, 100.0, 0.1, "radii"),
+    (-1.0, 100.0, 0.1, "radii"),
+    (math.nan, 100.0, 0.1, "radii"),
+    (1.0, math.inf, 0.1, "radii"),
+    (1.0, 0.5, 0.1, "radii"),
+    (1.0, 1.0, 0.1, "radii"),
+    (1.0, 100.0, 1e-300, "more float64 cells"),
+], ids=["negative-delta", "zero-delta", "nan-delta", "inf-delta",
+        "zero-r-inner", "negative-r-inner", "nan-r-inner", "inf-r-outer",
+        "inverted-radii", "equal-radii", "delta-too-fine"])
+def test_grid_builder_rejects_bad_inputs(r_inner, r_outer, delta, message):
+    # each used to return a grid or fail with another error (ZeroDivisionError,
+    # OverflowError, NaN to integer)
+    with pytest.raises(ValueError, match=message):
+        oscillating_annulus_grid(r_inner, r_outer, delta)
+    with pytest.raises(ValueError, match="cells_per_period"):
+        oscillating_annulus_grid(1.0, 8.0, 0.5, cells_per_period=math.nan)
 
 
 # -- homogenized mode ----------------------------------------------------------------
@@ -108,10 +135,48 @@ def test_psi_json_round_trip():
 # -- the preconditioned CG solve against the sparse direct one -----------------------
 
 
+def _assemble(k_el, n_r):
+    """COO assembly of the per-column element matrices `k_el` on n_r node
+    rows, independent of the matrix-free apply it checks; returns the
+    matrix and the node numbers of each element's corners."""
+    n_theta = len(k_el)
+    jj, kk = np.meshgrid(np.arange(n_r - 1), np.arange(n_theta), indexing="ij")
+    corners = np.stack([jj * n_theta + kk, (jj + 1) * n_theta + kk,
+                        jj * n_theta + (kk + 1) % n_theta,
+                        (jj + 1) * n_theta + (kk + 1) % n_theta],
+                       axis=-1)  # (n_r - 1, n_theta, 4), local node order
+    rows = np.repeat(corners[:, :, :, None], 4, axis=3)
+    cols = np.repeat(corners[:, :, None, :], 4, axis=2)
+    values = np.broadcast_to(k_el, (n_r - 1, n_theta, 4, 4))
+    n = n_r * n_theta
+    k_mat = sp.coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(n, n)).tocsr()
+    return k_mat, corners
+
+
+def _element_matrices(problem):
+    grid = problem.grid
+    ds = math.log(grid.r_outer / grid.r_inner) / (grid.n_r - 1)
+    return singularity_cost._q1_element_matrices(
+        problem.tensor.matrix(), ds, grid.dtheta, grid.n_theta)
+
+
+def _coo_system(problem):
+    """The assembled Q1 system of the homogenized mode, energy(phi) =
+    phi.K.phi + 2 f.phi + const over the nodes."""
+    nr, z = problem.grid.n_r, problem.z
+    k_el, f_el, const = _element_matrices(problem)
+    k_mat, corners = _assemble(k_el, nr)
+    f_vec = np.zeros(k_mat.shape[0])
+    np.add.at(f_vec, corners.ravel(),
+              z * np.broadcast_to(f_el, corners.shape).ravel())
+    return k_mat, f_vec, z * z * const * (nr - 1)
+
+
 def _spsolve_energy(problem):
-    """Reference homogenized minimum: the sparse direct solve the CG one
-    replaced, on the same assembled system."""
-    k_mat, f_vec, const = singularity_cost._q1_system(problem)
+    """Reference homogenized minimum: a sparse direct solve of the
+    assembled system."""
+    k_mat, f_vec, const = _coo_system(problem)
     n_dof = k_mat.shape[0]
     nt = problem.grid.n_theta
     # fixed trace: interior nodes only; free: pin one node, then re-center
@@ -122,6 +187,66 @@ def _spsolve_energy(problem):
     if not problem.fixed_trace:
         phi -= phi.mean()
     return float(phi @ (k_mat @ phi) + 2.0 * (f_vec @ phi) + const)
+
+
+class _AssembledStiffness:
+    """`singularity_cost._Q1Stiffness` through the COO-assembled matrix."""
+
+    def __init__(self, k_el, n_r, rows):
+        keep = np.arange(n_r * len(k_el)).reshape(n_r, -1)[rows].ravel()
+        self.k_in = _assemble(k_el, n_r)[0][keep][:, keep]
+
+    def __call__(self, v):
+        return (self.k_in @ v.ravel()).reshape(v.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a11=st.floats(0.2, 5.0),
+    a22=st.floats(0.2, 5.0),
+    tilt=st.floats(0.05, 0.95) | st.floats(-0.95, -0.05),
+    ratio=st.floats(1.5, 200.0),
+    n_r=st.integers(8, 14),
+    n_theta=st.integers(16, 23),
+    z=st.integers(1, 3) | st.integers(-3, -1),
+    fixed_trace=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_free_q1_apply_matches_coo_assembly(a11, a22, tilt, ratio, n_r,
+                                                   n_theta, z, fixed_trace,
+                                                   seed):
+    # an SPD tensor with a12 != 0 couples both diagonals of each element
+    tensor = HomogenizedTensor(a11, tilt * math.sqrt(a11 * a22), a22, 0, 0.0)
+    grid = PolarGrid((0.0, 0.0), 1.0, ratio, n_r, n_theta)
+    problem = AnnulusProblem(grid, z, tensor=tensor, fixed_trace=fixed_trace)
+    k_el, f_el, _ = _element_matrices(problem)
+    rows = slice(1, n_r - 1) if fixed_trace else slice(None)
+    stiffness = singularity_cost._Q1Stiffness(k_el, n_r, rows)
+    k_in = _AssembledStiffness(k_el, n_r, rows).k_in
+    shape = (k_in.shape[0] // n_theta, n_theta)
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal((2,) + shape)
+
+    def magnitude(w):  # per entry, the sum of the magnitudes of its terms
+        return (abs(k_in) @ np.abs(w).ravel()).reshape(shape)
+
+    ku = stiffness(u)
+    assert ku.shape == shape
+    assert np.all(np.abs(ku - (k_in @ u.ravel()).reshape(shape))
+                  <= 1e-13 * magnitude(u))
+    # symmetric
+    assert (abs(np.vdot(v, ku) - np.vdot(u, stiffness(v)))
+            <= 1e-13 * np.vdot(np.abs(v), magnitude(u)))
+    # free circles: the constants are its kernel
+    if not fixed_trace:
+        ones = np.ones(shape)
+        assert np.all(np.abs(stiffness(ones)) <= 1e-13 * magnitude(ones))
+    # the z-load is scattered from the element loads the same way
+    _, f_vec, _ = _coo_system(problem)
+    load = singularity_cost._scatter([z * f_el[:, a] for a in range(4)],
+                                     n_r, n_theta)
+    assert np.allclose(load.ravel(), f_vec, rtol=0.0,
+                       atol=1e-13 * np.abs(f_vec).max())
 
 
 def _counting_pcg(monkeypatch):
@@ -157,6 +282,34 @@ def test_cg_solve_matches_sparse_direct(tensor, fixed_trace):
             energy, _ = min_annulus_energy(problem)
             assert energy == pytest.approx(_spsolve_energy(problem),
                                            rel=1e-12, abs=0.0)
+
+
+TENSORS = [
+    HomogenizedTensor(1.9979, 0.0, 1.9979, 0, 0.0),
+    HomogenizedTensor(1.0, 0.3, 4.0, 0, 0.0),
+    LAMINATE,
+]
+
+
+@pytest.mark.parametrize("tensor", TENSORS,
+                         ids=["near-isotropic", "full-1-0.3-4", "laminate"])
+@pytest.mark.parametrize("fixed_trace", [False, True], ids=["free", "fixed"])
+def test_homogenized_energy_matches_the_assembled_apply(monkeypatch, tensor,
+                                                        fixed_trace):
+    # the psi table's largest annulus; the same CG on the assembled matrix
+    infos = _counting_pcg(monkeypatch)
+    grid = PolarGrid((0.0, 0.0), 1.0, 100.0, 222, 256)
+    energies = []
+    for stiffness in (singularity_cost._Q1Stiffness, _AssembledStiffness):
+        monkeypatch.setattr(singularity_cost, "_Q1Stiffness", stiffness)
+        energies.append([
+            min_annulus_energy(AnnulusProblem(grid, z, tensor=tensor,
+                                              fixed_trace=fixed_trace))[0]
+            for z in (1, 2)])
+    counts = [info.iterations for info in infos]
+    assert counts[:2] == counts[2:]
+    for free, assembled in zip(*energies):
+        assert free == pytest.approx(assembled, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("fixed_trace", [False, True], ids=["free", "fixed"])
@@ -290,6 +443,29 @@ def test_fixed_trace_annulus_converges_like_free(monkeypatch, ratio, delta):
                                           delta=delta, fixed_trace=fixed))
     free, pinned = (info.iterations for info in infos)
     assert pinned <= free + 2
+
+
+@pytest.mark.parametrize("coeff", [
+    coefficients.checkerboard(1.0, 4.0),
+    coefficients.checkerboard(1.0, 100.0),
+    coefficients.smooth_trigonometric(),
+], ids=["checkerboard-1-4", "checkerboard-1-100", "smooth"])
+@pytest.mark.parametrize("ratio, delta", [(8.0, 0.25), (100.0, 0.1)])
+@pytest.mark.parametrize("fixed_trace", [False, True], ids=["free", "fixed"])
+def test_float32_preconditioner_keeps_iterations_and_energy(
+        monkeypatch, coeff, ratio, delta, fixed_trace):
+    # the oscillating annulus CG is float64 and absorbs the float32 inverse
+    infos = _counting_pcg(monkeypatch)
+    problem = AnnulusProblem(oscillating_annulus_grid(1.0, ratio, delta), 1,
+                             coefficient=coeff, delta=delta,
+                             fixed_trace=fixed_trace)
+    single, _ = min_annulus_energy(problem)
+    real = singularity_cost.mixed_dct_fft_preconditioner
+    monkeypatch.setattr(singularity_cost, "mixed_dct_fft_preconditioner",
+                        lambda *a, **k: real(*a, **{**k, "dtype": np.float64}))
+    exact, _ = min_annulus_energy(problem)
+    assert infos[0].iterations == infos[1].iterations
+    assert single == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_oscillating_psi_reports_coefficient_bounds():

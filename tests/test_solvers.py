@@ -370,6 +370,9 @@ def test_transform_threads_do_not_change_preconditioners(monkeypatch):
         periodic_fft_preconditioner(shape, 1.3),
         mixed_dct_fft_preconditioner(shape, 1.3, 0.6),
         mixed_dct_fft_preconditioner(shape, 1.3, 0.6, pinned=True),
+        mixed_dct_fft_preconditioner(shape, 1.3, 0.6, dtype=np.float32),
+        mixed_dct_fft_preconditioner(shape, 1.3, 0.6, pinned=True,
+                                     dtype=np.float32),
         dct2_preconditioner(shape, 1.7),
         dct2_preconditioner(shape, 1.7, restrict=mask),
         q1_node_preconditioner(shape, 0.02, 0.03, 1.1),
@@ -501,6 +504,35 @@ def test_float32_dct2_preconditioner_is_close_and_symmetric_on_a_mask():
     assert np.array_equal(got, got * mask)  # restricted in float32
     assert np.sum(v * got) == pytest.approx(np.sum(u * single(v)), rel=1e-5)
     assert np.sum(u * got) > 0.0
+
+
+@pytest.mark.parametrize("shape", [(9, 16), (369, 503), (737, 1006)])
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_float32_mixed_preconditioner_is_close_and_float64(monkeypatch, shape,
+                                                           pinned):
+    # the annulus grids at delta = 0.1 and 0.05 take the threaded path
+    rng = np.random.default_rng(19)
+    r = rng.standard_normal(shape)
+    if not pinned:
+        r -= r.mean()
+    keep = r.copy()
+    exact = mixed_dct_fft_preconditioner(shape, 1.3, 0.6, pinned=pinned)
+    single = mixed_dct_fft_preconditioner(shape, 1.3, 0.6, pinned=pinned,
+                                          dtype=np.float32)
+    want, got = exact(r), single(r)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    # r . z taken in the pass that casts the result, with `dot`'s bits
+    z, rz = single.with_dot(r)
+    assert np.array_equal(z, got) and not np.shares_memory(z, got)
+    assert rz == solvers.dot(r, got)
+    assert np.array_equal(r, keep)
+    v = rng.standard_normal(shape)
+    if not pinned:
+        v -= v.mean()
+    assert np.vdot(v, got) == pytest.approx(np.vdot(r, single(v)), rel=1e-5)
+    # the float64 default is the exact inverse and returns a plain array
+    assert not hasattr(exact, "with_dot")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

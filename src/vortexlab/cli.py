@@ -51,6 +51,7 @@ from .gl_solver import (
 )
 from .singularity_cost import (
     _MIN_CELLS_PER_PERIOD,
+    _OSCILLATING_SOLVE_BYTES_PER_CELL,
     DEFAULT_CELLS_PER_PERIOD,
     capital_psi,
     oscillating_annulus_grid,
@@ -136,6 +137,15 @@ def _tensor_from_spec(spec: Any, where: str = "tensor") -> HomogenizedTensor:
     return tensor
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where `os.sysconf` does not say."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return size if size > 0 else None
+
+
 def _cmd_psi(args: argparse.Namespace) -> int:
     data = _read_config(args.config)
     if "delta" in data:
@@ -173,13 +183,22 @@ def _cmd_psi(args: argparse.Namespace) -> int:
                     f"'cells_per_period' must be >= {_MIN_CELLS_PER_PERIOD:g}"
                 )
             kwargs["cells_per_period"] = cells
+        memory = _physical_memory()
         for ratio in ratios:
             try:
-                oscillating_annulus_grid(1.0, ratio, kwargs["delta"],
-                                         kwargs.get("cells_per_period",
-                                                    DEFAULT_CELLS_PER_PERIOD))
+                grid = oscillating_annulus_grid(
+                    1.0, ratio, kwargs["delta"],
+                    kwargs.get("cells_per_period", DEFAULT_CELLS_PER_PERIOD))
             except ValueError as exc:  # a grid too fine to allocate
                 raise ConfigError(str(exc)) from exc
+            need = ((grid.n_r - 1) * grid.n_theta
+                    * _OSCILLATING_SOLVE_BYTES_PER_CELL)
+            if memory is not None and need > memory:
+                raise ConfigError(
+                    f"delta = {kwargs['delta']:g} needs about "
+                    f"{need / 2**30:.3g} GiB for the annulus solve at ratio "
+                    f"{ratio:g}, more than the {memory / 2**30:.3g} GiB of "
+                    "physical memory")
     else:
         kwargs["n_theta"] = _integer_at_least(data.get("n_theta", 256), 16,
                                               "'n_theta'")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,9 +46,9 @@ from .solvers import (
     SolveInfo,
     SolverError,
     _chunk_dot,
+    _chunk_sum,
     _row_blocks,
     _row_sum,
-    active_projection,
     dct2_preconditioner,
     dot,
     pcg,
@@ -358,22 +358,32 @@ def core_radius_energy(
     evaluated once per face family on points built from the 1-d
     coordinates, and the mask, the face weights' masking and the angle
     fields' gradient are computed per row chunk (`solvers._row_blocks`)
-    from broadcast 1-d coordinates.  The gradient is not kept during the
-    solve: the energy recomputes it per row chunk.
+    from broadcast 1-d coordinates.  Neither the gradient nor the
+    right-hand side b is stored: b is `FaceOperator.rhs` of the gradient,
+    projected onto mean-zero functions on the active cells, and each
+    residual pass rebuilds its rows per chunk from the gradient and the
+    masked weights, with the arithmetic of `rhs` and of that projection
+    (one chunked pass computes the projection's shift first).  The energy
+    recomputes the gradient per row chunk too.  The 2048^2 solve thus
+    writes 3 float64 grid arrays (the weights and phi) and 9 float32 ones
+    (the weights, the refinement residual, CG's x, r, p, z and Ap, and the
+    DCT-II's work buffer), about 61 bytes per cell; the float64
+    operator's reusable output is allocated but never written, because
+    that operator only forms residuals.
 
     Precision: the solve is float64 iterative refinement around a float32
-    CG (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  The right-hand
-    side b is projected onto the active mean-zero subspace in place.  Each
-    outer step solves A d = r to `_INNER_RTOL` with `solvers.pcg` entirely
-    in float32 (face weights, vectors, and the masked DCT-II
-    preconditioner; its inner products are float64), adds d to phi in
-    float64, and forms the next residual r = b - A phi with the float64
-    operator (`FaceOperator.residual`, whose row pass also casts r to
-    float32).  The loop stops when the float64 relative residual is at
-    most `rtol`, within 50 n inner iterations in all.  Each float32
-    iteration moves half the bytes of a float64 one; the scaling rows take
-    2 outer steps and 23 inner iterations where a float64 CG takes 21, and
-    their energies agree with a float64 CG to 1e-12 relative.  Energy and
+    CG (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Each outer step
+    solves A d = r to `_INNER_RTOL` with `solvers.pcg` entirely in float32
+    (face weights, vectors, and the masked DCT-II preconditioner; its
+    inner products are float64), adds d to phi in float64, and forms the
+    next residual r = b - A phi with the float64 operator
+    (`FaceOperator.residual`, whose row pass also casts r to float32); the
+    same pass at phi = 0 gives ||b|| and the first right-hand side.  The
+    loop stops when the float64 relative residual is at most `rtol`,
+    within 50 n inner iterations in all.  Each float32 iteration moves
+    half the bytes of a float64 one; the scaling rows take 2 outer steps
+    and 23 inner iterations where a float64 CG takes 21, and their
+    energies agree with a float64 CG to 1e-12 relative.  Energy and
     `SolveInfo` are bit-for-bit the same for every thread count and BLAS
     setting.
 
@@ -421,40 +431,61 @@ def core_radius_energy(
         pts[..., 1] = t / delta
         return coeff.eval(pts)
 
-    def face_data(i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
-        """h times the angle fields' gradient on the x faces i0..i1 (there
-        is one row fewer) and on the y faces of rows i0..i1."""
-        gx = _superposition_gradient(xf[i0:min(i1, n - 1), None], yc, mu.atoms, 0)
-        gx *= h
-        gy = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
-        gy *= h
-        return gx, gy
+    def x_face_data(f0: int, f1: int) -> np.ndarray:
+        """h times the angle fields' gradient on the x faces f0..f1-1."""
+        g = _superposition_gradient(xf[f0:f1, None], yc, mu.atoms, 0)
+        g *= h
+        return g
+
+    def y_face_data(i0: int, i1: int) -> np.ndarray:
+        """h times the angle fields' gradient on the y faces of rows i0..i1-1."""
+        g = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
+        g *= h
+        return g
 
     wx = face_coefficients(xf, yc)
     wy = face_coefficients(xc, yf)
-    gx = np.empty((n - 1, n))
-    gy = np.empty((n, n - 1))
 
-    def face_rows(i0: int, i1: int) -> None:
+    def mask_faces(i0: int, i1: int) -> None:
         j1 = min(i1, n - 1)
         wx[i0:j1] *= active[i0:j1] & active[i0 + 1:j1 + 1]
         wy[i0:i1] *= active[i0:i1, :-1] & active[i0:i1, 1:]
-        gx[i0:j1], gy[i0:i1] = face_data(i0, i1)
 
-    _row_blocks(active, face_rows)
+    _row_blocks(active, mask_faces)
 
+    def rhs_rows(i0: int, i1: int, shift: float) -> np.ndarray:
+        """Rows i0..i1-1 of b = `FaceOperator.rhs` of the face data, less
+        `shift`, zeroed on the inactive cells: each element takes the
+        operations of `rhs` in its order, so its bits do not depend on
+        the rows asked for."""
+        lo, j1 = max(i0 - 1, 0), min(i1, n - 1)
+        tx = wx[lo:j1] * x_face_data(lo, j1)  # x faces lo..j1-1
+        ty = wy[i0:i1] * y_face_data(i0, i1)
+        b = np.zeros((i1 - i0, n))
+        b[:j1 - i0] += tx[i0 - lo:]
+        b[lo + 1 - i0:] -= tx[:i1 - 1 - lo]
+        b[:, :n - 1] += ty
+        b[:, 1:] -= ty
+        b -= shift
+        np.copyto(b, 0.0, where=~active[i0:i1])
+        return b
+
+    # b projected onto mean-zero functions on the active cells: the mean
+    # of its active cells (summed per row chunk in chunk order) is
+    # subtracted in every rebuild of its rows
+    shift = _row_sum(active, lambda i0, i1: _chunk_sum(
+        rhs_rows(i0, i1, 0.0))) / int(active.sum())
     operator = FaceOperator(wx, wy)
-    b = active_projection(active)(operator.rhs(gx, gy))
-    del gx, gy
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
     inner = FaceOperator(wx.astype(_INNER_DTYPE), wy.astype(_INNER_DTYPE))
     precond = dct2_preconditioner((n, n), abar, restrict=active,
                                   dtype=_INNER_DTYPE)
-    phi, info = _refine(operator, b, inner, precond, rtol=rtol, maxiter=50 * n)
+    phi, info = _refine(operator, lambda i0, i1: rhs_rows(i0, i1, shift),
+                        inner, precond, rtol=rtol, maxiter=50 * n)
 
     def energy_rows(i0: int, i1: int) -> float:
         j1 = min(i1, n - 1)
-        gx, gy = face_data(i0, i1)
+        gx, gy = x_face_data(i0, j1), y_face_data(i0, i1)
         gx += phi[i0 + 1:j1 + 1] - phi[i0:j1]
         gy += phi[i0:i1, 1:] - phi[i0:i1, :-1]
         return _chunk_dot(wx[i0:j1] * gx, gx) + _chunk_dot(wy[i0:i1] * gy, gy)
@@ -462,21 +493,24 @@ def core_radius_energy(
     return _row_sum(phi, energy_rows), info
 
 
-def _refine(operator: FaceOperator, b: np.ndarray, inner: FaceOperator,
-            precond, *, rtol: float, maxiter: int) -> tuple[np.ndarray, SolveInfo]:
+def _refine(operator: FaceOperator, b_rows: Callable[[int, int], np.ndarray],
+            inner: FaceOperator, precond, *, rtol: float,
+            maxiter: int) -> tuple[np.ndarray, SolveInfo]:
     """Solve operator phi = b to relative residual `rtol` by iterative
     refinement: float64 residuals, corrections from `pcg` on `inner` and
     `precond` in their own precision, at most `maxiter` inner iterations
-    in all (see `core_radius_energy`)."""
-    phi = np.zeros_like(b)
-    bnorm = math.sqrt(dot(b, b))
+    in all (see `core_radius_energy`).  b is given by its rows,
+    `b_rows(i0, i1)` (`FaceOperator.residual`), and never stored."""
+    phi = np.zeros(operator.shape)
+    # the residual in the inner precision, the right-hand side of each
+    # step; the first is b - A 0 = b, bit for bit
+    r = np.empty(operator.shape, inner.wx.dtype)
+    bnorm = math.sqrt(operator.residual(phi, b_rows, r))
     if not math.isfinite(bnorm):
         raise SolverError("refinement got a non-finite right-hand side",
                           iterations=0)
     if bnorm == 0.0:
         return phi, SolveInfo(0, 0.0, 0)
-    # the residual in the inner precision, the right-hand side of each step
-    r = b.astype(inner.wx.dtype)
     res = bnorm
     iterations = steps = 0
     while res > rtol * bnorm:
@@ -494,7 +528,8 @@ def _refine(operator: FaceOperator, b: np.ndarray, inner: FaceOperator,
             phi[i0:i1] += d[i0:i1]
 
         _row_blocks(phi, correct)
-        previous, res = res, math.sqrt(operator.residual(phi, b, r))
+        d = None  # free before the residual pass and the next inner solve
+        previous, res = res, math.sqrt(operator.residual(phi, b_rows, r))
         if not math.isfinite(res):
             raise SolverError(
                 f"refinement met a non-finite residual (step {steps})",

@@ -77,6 +77,10 @@ __all__ = [
 #: builder; the hard validation floor is 6 cells per period.
 DEFAULT_CELLS_PER_PERIOD = 8.0
 _MIN_CELLS_PER_PERIOD = 6.0
+#: Bytes per cell that `_oscillating_minimum`'s solve holds: the float64
+#: face weights ws and wt, the right-hand side, CG's x, r, p, z and A p,
+#: and one more array for transients (about 51 MiB traced at 737 x 1006).
+_OSCILLATING_SOLVE_BYTES_PER_CELL = 9 * 8
 
 
 @dataclass(frozen=True)

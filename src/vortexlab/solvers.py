@@ -10,7 +10,9 @@ rectangular index grid, and this module holds one of each part:
     cell corrector, the oscillating annulus and the core-radius proxy all
     use it.
   * `pcg`: preconditioned CG with an optional projection, on float64 or
-    float32 vectors, with float64 inner products (`dot`).
+    float32 vectors, with float64 inner products (`dot`).  It holds x,
+    r, p, z and Ap: the (projected) copy of the right-hand side becomes
+    r, and each preconditioner output z is released once p has taken it.
   * `_spectral_inverse`: the exact inverse of a separable operator
     scale * (K0 (x) M1 + M0 (x) K1), given per axis the transform that
     diagonalizes the 1-d stiffness K and mass M and their eigenvalues
@@ -107,7 +109,6 @@ __all__ = [
     "FaceOperator",
     "pcg",
     "dot",
-    "active_projection",
     "periodic_fft_preconditioner",
     "mixed_dct_fft_preconditioner",
     "dct2_preconditioner",
@@ -244,31 +245,6 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return total
 
 
-def active_projection(active: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """In-place map of a grid array onto mean-zero functions supported on the
-    True cells of the boolean mask `active`.
-
-    Zeroes the inactive cells, subtracts the mean over the active cells
-    (summed by `_row_sum`) and zeroes the inactive cells again.  Only the
-    inactive cells are indexed, which is cheap when they are few (holes
-    around vortex cores)."""
-    inactive = np.nonzero(~active)
-    nact = int(active.sum())
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v[inactive] = 0.0
-        shift = _row_sum(v, lambda i0, i1: _chunk_sum(v[i0:i1])) / nact
-
-        def rows(i0: int, i1: int) -> None:
-            v[i0:i1] -= shift
-
-        _row_blocks(v, rows)
-        v[inactive] = 0.0
-        return v
-
-    return project
-
-
 class SolverError(RuntimeError):
     """Raised when an iterative solve fails to reach its tolerance."""
 
@@ -330,9 +306,12 @@ def pcg(
     products are float64 (`dot`).  An operator or preconditioner with a
     `with_dot` attribute (`FaceOperator`, `dct2_preconditioner`) has it
     called instead, and returns the pair (output, input . output) from the
-    pass that writes the output; r.r is taken in the x/r update.  After
-    set-up the loop allocates no grid-size arrays of its own (only
-    cache-sized temporaries); the operator and the preconditioner may.
+    pass that writes the output; r.r is taken in the x/r update.  The
+    grid arrays held are x, r, p, z and the operator's output Ap: `rhs`
+    is copied once, into r (projected), and no z outlives its update of
+    p.  After set-up the loop allocates no grid-size arrays of its own
+    (only cache-sized temporaries); the operator and the preconditioner
+    may.
     The vector updates run in `_row_blocks`, on several threads for large
     grids, and the iterates do not depend on the thread count.  Non-finite
     data (right-hand side, curvature p.Ap, or residual norm) raises
@@ -342,8 +321,9 @@ def pcg(
     has not dropped below `rtol` within `maxiter` iterations.
     """
     x = np.zeros_like(rhs)
-    b = rhs if project is None else project(rhs.copy())
-    bnorm = math.sqrt(dot(b, b))
+    # the (projected) copy of the right-hand side is the first residual
+    r = rhs.copy() if project is None else project(rhs.copy())
+    bnorm = math.sqrt(dot(r, r))
     if not math.isfinite(bnorm):
         raise SolverError("conjugate gradients got a non-finite right-hand side",
                           iterations=0)
@@ -352,9 +332,9 @@ def pcg(
 
     operator = _with_dot(apply_operator)
     precondition = _with_dot(apply_preconditioner)
-    r = b.copy()
     z, rz = precondition(r)
     p = z.copy()
+    z = None  # free before the operator and the next preconditioner call
     res = bnorm
     for it in range(1, maxiter + 1):
         ap, denom = operator(p)
@@ -450,15 +430,22 @@ class FaceOperator:
         return out, _row_sum(out, lambda i0, i1: _chunk_dot(
             phi[i0:i1], rows(i0, i1, out[i0:i1])))
 
-    def residual(self, phi: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
+    def residual(self, phi: np.ndarray,
+                 b_rows: Callable[[int, int], np.ndarray],
+                 out: np.ndarray) -> float:
         """Write b - A phi into `out` (of any float dtype) and return its
         float64 squared norm, both from one row pass in which A phi and
-        b - A phi exist only per chunk, in the weights' dtype."""
+        b - A phi exist only per chunk, in the weights' dtype.
+
+        b is given by its rows: `b_rows(i0, i1)` returns rows i0..i1-1
+        for each row chunk of the pass, so a caller need not store b and
+        may rebuild them from the data that define it.  It runs on the
+        pass's threads and must not call `_row_blocks`."""
         rows = self._rows(phi)
 
         def chunk(i0: int, i1: int) -> float:
             r = rows(i0, i1, np.empty((i1 - i0, self.shape[1]), self._out.dtype))
-            np.subtract(b[i0:i1], r, out=r)
+            np.subtract(b_rows(i0, i1), r, out=r)
             out[i0:i1] = r
             return _chunk_dot(r, r)
 

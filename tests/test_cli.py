@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -104,6 +105,26 @@ def test_psi_delta_too_fine_to_allocate_exits_2(tmp_path, capsys):
     assert cli.main(["psi", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "delta = 1e-300" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_psi_delta_beyond_physical_memory_exits_2(tmp_path, capsys):
+    # an indexable grid whose solve needs far more memory than any machine
+    # has (tens of TiB): refused from the grid's size, before any array
+    cfg = _config(tmp_path, {
+        "coefficient": {"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
+        "delta": 1e-5,
+    })
+    tracemalloc.start()
+    try:
+        assert cli.main(["psi", "--config", cfg, "--out", str(tmp_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert "config error" in err and "delta = 1e-05" in err
+    assert "physical memory" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 

@@ -1,0 +1,81 @@
+"""Memory held by the large solves, counted by tracemalloc.
+
+tracemalloc counts every numpy allocation, touched or not.  With one
+worker (`solvers._WORKERS`) the row chunks run one after another, so the
+peak of a call does not depend on timing or on the machine's core count:
+it is a deterministic measure of the grid arrays the call holds at once.
+Each bound is the measured peak, in float64 grids of the problem's size,
+plus a margin of half to two thirds of a grid, short of one more grid
+array.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vortexlab import coefficients, gl_solver, solvers
+from vortexlab.fields import CartesianGrid
+from vortexlab.vortex_analysis import Rectangle, VortexMeasure
+
+
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    # several workers would each hold their chunk's temporaries at once
+    monkeypatch.setattr(solvers, "_WORKERS", 1)
+
+
+def _peak_grids(fn, cells: int) -> float:
+    """The traced peak of fn() above what was allocated before it, in
+    float64 arrays of `cells` elements."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * cells)
+
+
+def test_pcg_holds_x_r_p_z_and_its_operator_output():
+    # measured 5.02 grids: x, r, p, z and one preconditioner transient
+    # (the operator's output exists before the call); it was 7.02 when
+    # pcg kept the projected right-hand side beside r and its first
+    # preconditioner output beside p
+    n = 256
+    rng = np.random.default_rng(5)
+    wx, wy = rng.uniform(1.0, 4.0, (2, n, n))
+    operator = solvers.FaceOperator(wx, wy)
+    precond = solvers.periodic_fft_preconditioner((n, n), 2.5)
+    rhs = rng.standard_normal((n, n))
+
+    def project(v):
+        v -= v.mean()
+        return v
+
+    def solve():
+        x, info = solvers.pcg(operator, rhs, precond, rtol=1e-8, maxiter=500,
+                              project=project)
+        assert info.relative_residual <= 1e-8
+
+    assert _peak_grids(solve, n * n) < 5.5
+
+
+def test_core_radius_energy_holds_no_right_hand_side():
+    # measured 8.83 grids at n = 512: the float64 weights, phi and the
+    # float64 operator's (unwritten) output, the float32 weights,
+    # refinement residual, CG vectors and DCT-II buffer, the mask and
+    # transients; it was 10.83 with b and the face data stored as well
+    n = 512
+    unit = Rectangle((0.0, 0.0), (1.0, 1.0))
+    mu = VortexMeasure((((0.43, 0.52), 1), ((0.7, 0.3), -1)), unit)
+    params = gl_solver.GLParameters(
+        0.05, 0.05, coefficients.checkerboard(1.0, 4.0),
+        CartesianGrid((0.0, 0.0), (1.0, 1.0), (16, 16)))
+
+    def solve():
+        energy, info = gl_solver.core_radius_energy(mu, params, n=n)
+        assert info.relative_residual <= 1e-8
+
+    assert _peak_grids(solve, n * n) < 9.5

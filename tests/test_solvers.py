@@ -797,7 +797,7 @@ def test_face_operator_residual_is_one_pass_of_b_minus_a_phi(kind):
     want = b - op.apply(phi)
     for dtype in (np.float64, np.float32):
         out = np.empty(shape, dtype)
-        squared = op.residual(phi, b, out)
+        squared = op.residual(phi, lambda i0, i1: b[i0:i1], out)
         assert np.array_equal(out, want.astype(dtype))
         assert squared == solvers.dot(want, want)
 

@@ -47,6 +47,7 @@ from .solvers import (
     SolverError,
     _chunk_dot,
     _chunk_sum,
+    _padded_grid,
     _row_blocks,
     _row_sum,
     dct2_preconditioner,
@@ -364,12 +365,17 @@ def core_radius_energy(
     residual pass rebuilds its rows per chunk from the gradient and the
     masked weights, with the arithmetic of `rhs` and of that projection
     (one chunked pass computes the projection's shift first).  The energy
-    recomputes the gradient per row chunk too.  The 2048^2 solve thus
-    writes 3 float64 grid arrays (the weights and phi) and 9 float32 ones
-    (the weights, the refinement residual, CG's x, r, p, z and Ap, and the
-    DCT-II's work buffer), about 61 bytes per cell; the float64
-    operator's reusable output is allocated but never written, because
-    that operator only forms residuals.
+    recomputes the gradient per row chunk too.  The refinement residual is
+    CG's r: `pcg` works in place on its right-hand side.  One row-padded
+    float32 grid is both the inner operator's output and the DCT-II's
+    work buffer, whose result z is that buffer restricted in place; `pcg`
+    reads A p only before the preconditioner runs and z only before the
+    next operator call, so A p, the transforms and z take turns in it.
+    The 2048^2 solve thus writes 3 float64 grid arrays (the weights and
+    phi) and 6 float32 ones (the weights, the residual r, CG's x and p,
+    and the shared grid), about 48 bytes per cell; the float64 operator's
+    reusable output is allocated but never written, because that operator
+    only forms residuals.
 
     Precision: the solve is float64 iterative refinement around a float32
     CG (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Each outer step
@@ -477,9 +483,12 @@ def core_radius_energy(
         rhs_rows(i0, i1, 0.0))) / int(active.sum())
     operator = FaceOperator(wx, wy)
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
-    inner = FaceOperator(wx.astype(_INNER_DTYPE), wy.astype(_INNER_DTYPE))
+    # A p, the DCT-II's transforms and z, in turn (see `pcg`)
+    work = _padded_grid((n, n), _INNER_DTYPE)
+    inner = FaceOperator(wx.astype(_INNER_DTYPE), wy.astype(_INNER_DTYPE),
+                         out=work)
     precond = dct2_preconditioner((n, n), abar, restrict=active,
-                                  dtype=_INNER_DTYPE)
+                                  dtype=_INNER_DTYPE, buffer=work)
     phi, info = _refine(operator, lambda i0, i1: rhs_rows(i0, i1, shift),
                         inner, precond, rtol=rtol, maxiter=50 * n)
 
@@ -503,7 +512,8 @@ def _refine(operator: FaceOperator, b_rows: Callable[[int, int], np.ndarray],
     `b_rows(i0, i1)` (`FaceOperator.residual`), and never stored."""
     phi = np.zeros(operator.shape)
     # the residual in the inner precision, the right-hand side of each
-    # step; the first is b - A 0 = b, bit for bit
+    # step and CG's r in it (`pcg` overwrites it; the residual pass after
+    # the step writes it again); the first is b - A 0 = b, bit for bit
     r = np.empty(operator.shape, inner.wx.dtype)
     bnorm = math.sqrt(operator.residual(phi, b_rows, r))
     if not math.isfinite(bnorm):

@@ -78,9 +78,10 @@ __all__ = [
 DEFAULT_CELLS_PER_PERIOD = 8.0
 _MIN_CELLS_PER_PERIOD = 6.0
 #: Bytes per cell that `_oscillating_minimum`'s solve holds: the float64
-#: face weights ws and wt, the right-hand side, CG's x, r, p, z and A p,
-#: and one more array for transients (about 51 MiB traced at 737 x 1006).
-_OSCILLATING_SOLVE_BYTES_PER_CELL = 9 * 8
+#: face weights ws and wt, CG's x, r (the right-hand side itself), p, z and
+#: A p, and one more array for transients (43.9 MiB, 62 bytes per cell,
+#: traced on one thread at 737 x 1006; `tests/test_memory.py`).
+_OSCILLATING_SOLVE_BYTES_PER_CELL = 8 * 8
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,6 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
               if problem.fixed_trace else None)  # (2, nt)
     operator = FaceOperator(ws, wt, pinned)
     gt = z * dt
-    b = operator.rhs(0.0, gt)
 
     precond = mixed_dct_fft_preconditioner(
         (ns, nt), abar * cs, abar * ct, pinned=problem.fixed_trace,
@@ -224,8 +224,9 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
             return v
 
     try:
+        # the right-hand side becomes CG's residual, freed on return
         phi, _ = pcg(
-            operator.apply, b, precond, rtol=1e-8,
+            operator.apply, operator.rhs(0.0, gt), precond, rtol=1e-8,
             maxiter=max(50 * max(ns, nt), 2000), project=project,
         )
     except SolverError as exc:
@@ -385,7 +386,8 @@ def _homogenized_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
     precond = q1_node_preconditioner(rhs.shape, ds, grid.dtheta, scale,
                                      pinned=problem.fixed_trace)
     try:
-        sol, _ = pcg(stiffness, rhs, precond, rtol=1e-12,
+        # pcg overwrites its right-hand side, and the energy reads rhs
+        sol, _ = pcg(stiffness, rhs.copy(), precond, rtol=1e-12,
                      maxiter=max(50 * max(nr, nt), 2000), project=project)
     except SolverError as exc:
         raise SolverError(

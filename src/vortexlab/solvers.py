@@ -11,8 +11,10 @@ rectangular index grid, and this module holds one of each part:
     use it.
   * `pcg`: preconditioned CG with an optional projection, on float64 or
     float32 vectors, with float64 inner products (`dot`).  It holds x,
-    r, p, z and Ap: the (projected) copy of the right-hand side becomes
-    r, and each preconditioner output z is released once p has taken it.
+    r and p beside the operator's output Ap and the preconditioner's
+    output z: the right-hand side itself becomes r (projected in place),
+    and since Ap is dead before z is made and z before the next Ap, the
+    two may be one array.
   * `_spectral_inverse`: the exact inverse of a separable operator
     scale * (K0 (x) M1 + M0 (x) K1), given per axis the transform that
     diagonalizes the 1-d stiffness K and mass M and their eigenvalues
@@ -46,7 +48,10 @@ cache line: at 2048^2 an unpadded row's power-of-two stride sent every
 column of the axis-0 pass to the same cache sets, and a fresh output had
 to be faulted in on every forward call.  That path stores no eigenvalue
 grid, so the buffer costs no memory: each row chunk of the division
-rebuilds its block from the per-axis eigenvalue vectors.
+rebuilds its block from the per-axis eigenvalue vectors.  The buffer is
+also the result, restricted in place, so a call allocates no grid; the
+caller may pass the buffer in (`buffer=`) and share it with an operator's
+output (`FaceOperator(out=)`), as the core-radius solve does.
 
 Work precision.  Everything runs in float64 except where a caller asks a
 spectral inverse for float32 (`dtype=`); CG absorbs an inverse that is
@@ -216,10 +221,11 @@ def _row_sum(a: np.ndarray, fn: Callable[[int, int], float]) -> float:
 
 def _chunk_dot(u: np.ndarray, v: np.ndarray) -> float:
     """u . v of one chunk, summed in float64 (float32 products are rounded
-    to float32 and then summed in float64)."""
-    u, v = u.reshape(-1), v.reshape(-1)
+    to float32 and then summed in float64).  The float32 products go into
+    a contiguous float64 array of the chunk's shape, whose sum has the bits
+    of the 1-d one, so a row-padded view is not copied first."""
     if u.dtype.char == v.dtype.char == "d":
-        return float(np.einsum("i,i->", u, v))
+        return float(np.einsum("i,i->", u.reshape(-1), v.reshape(-1)))
     return float(np.multiply(u, v, out=np.empty(u.shape)).sum())
 
 
@@ -293,25 +299,31 @@ def pcg(
 ) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned CG for symmetric positive (semi)definite operators.
 
-    `project`, when given, maps onto the solvable subspace (typically
-    mean-zero functions, possibly restricted to active cells), in place.
-    It is applied to the right-hand side and to the solution on return.
-    The operator's outputs are not projected: an operator that does not
-    keep the subspace must project inside itself.  The iterate is not
-    projected on each step either: it is a combination of search
-    directions, each built from preconditioner outputs that already lie in
-    the subspace.
+    `rhs` becomes the first residual: it is projected in place (when
+    `project` is given) and overwritten by the iteration, so a caller that
+    reads it after the call passes a copy.  `project`, when given, maps
+    onto the solvable subspace (typically mean-zero functions, possibly
+    restricted to active cells), in place.  It is applied to the
+    right-hand side and to the solution on return.  The operator's
+    outputs are not projected: an operator that does not keep the
+    subspace must project inside itself.  The iterate is not projected on
+    each step either: it is a combination of search directions, each
+    built from preconditioner outputs that already lie in the subspace.
 
     The vectors keep the dtype of `rhs` (float64 or float32); the inner
     products are float64 (`dot`).  An operator or preconditioner with a
     `with_dot` attribute (`FaceOperator`, `dct2_preconditioner`) has it
     called instead, and returns the pair (output, input . output) from the
     pass that writes the output; r.r is taken in the x/r update.  The
-    grid arrays held are x, r, p, z and the operator's output Ap: `rhs`
-    is copied once, into r (projected), and no z outlives its update of
-    p.  After set-up the loop allocates no grid-size arrays of its own
-    (only cache-sized temporaries); the operator and the preconditioner
-    may.
+    grid arrays held are x, r (`rhs` itself) and p, beside the operator's
+    output Ap and the preconditioner's output z.  Ap is read only in the
+    x/r update, before the preconditioner is called, and z only in the
+    update of p, before the operator is called again; so the two may be
+    one array that the operator and the preconditioner each overwrite
+    (`FaceOperator(out=)` and `dct2_preconditioner(buffer=)` on the same
+    grid, as in `gl_solver.core_radius_energy`).  After set-up the loop
+    allocates no grid-size arrays of its own (only cache-sized
+    temporaries); the operator and the preconditioner may.
     The vector updates run in `_row_blocks`, on several threads for large
     grids, and the iterates do not depend on the thread count.  Non-finite
     data (right-hand side, curvature p.Ap, or residual norm) raises
@@ -321,8 +333,8 @@ def pcg(
     has not dropped below `rtol` within `maxiter` iterations.
     """
     x = np.zeros_like(rhs)
-    # the (projected) copy of the right-hand side is the first residual
-    r = rhs.copy() if project is None else project(rhs.copy())
+    # the (projected) right-hand side is the first residual
+    r = rhs if project is None else project(rhs)
     bnorm = math.sqrt(dot(r, r))
     if not math.isfinite(bnorm):
         raise SolverError("conjugate gradients got a non-finite right-hand side",
@@ -401,17 +413,30 @@ class FaceOperator:
     E(phi) = sum w (d phi + g)^2 + sum pinned phi_end^2, over the faces d phi
     of phi; its minimizer solves A phi = `rhs(gx, gy)`, and its gradient is
     2 (A phi - b).
+
+    `apply` writes A phi into one output array that every call overwrites:
+    `out`, an array of the cell grid's shape in the weights' dtype (it may
+    be a row-padded view), or else one allocated here.  A caller may share
+    `out` with other work whose data is dead by the next `apply` (see
+    `pcg`).
     """
 
     def __init__(self, wx: np.ndarray, wy: np.ndarray,
-                 pinned: Optional[np.ndarray] = None) -> None:
+                 pinned: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None) -> None:
         self.wx, self.wy, self.pinned = wx, wy, pinned
         self.shape = (wy.shape[0], wx.shape[1])
-        self._out = np.empty(self.shape, np.result_type(wx, wy))
+        dtype = np.result_type(wx, wy)
+        if out is None:
+            out = np.empty(self.shape, dtype)
+        elif out.shape != self.shape or out.dtype != dtype:
+            raise ValueError(f"out must be a {dtype} array of shape {self.shape}, "
+                             f"got {out.dtype} {out.shape}")
+        self._out = out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """A phi, into an output array that every call reuses, in the
-        weights' dtype (float32 weights and phi: float32 throughout).
+        """A phi, into the output array that every call reuses (`out`), in
+        the weights' dtype (float32 weights and phi: float32 throughout).
 
         Runs in cache-sized row chunks (`_row_blocks`): each row takes its two
         axis-0 fluxes and its axis-1 fluxes, so no grid-size flux array
@@ -579,8 +604,16 @@ def _q1_axis(transform: str, n: int, h: float):
 _ROW_PAD_BYTES = 64
 
 
+def _padded_grid(shape: tuple[int, int], dtype) -> np.ndarray:
+    """An uninitialized array of `shape` and `dtype` whose rows are padded
+    by `_ROW_PAD_BYTES`: the first shape[1] columns of a wider array."""
+    pad = _ROW_PAD_BYTES // np.dtype(dtype).itemsize
+    return np.empty((shape[0], shape[1] + pad), dtype)[:, :shape[1]]
+
+
 def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
                       dtype=np.float64, restrict: Optional[np.ndarray] = None,
+                      buffer: Optional[np.ndarray] = None,
                       ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of scale * (K0 (x) M1 + M0 (x) K1), given per axis the
     (transform, stiffness eigenvalues, mass eigenvalues) of K and M.
@@ -597,16 +630,18 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     division run in it.
 
     With no periodic axis both transforms run in place on one work buffer
-    per instance, whose rows are padded by `_ROW_PAD_BYTES`; the
-    eigenvalue grid is not stored but rebuilt per row chunk of the
-    division from the per-axis vectors, with the same arithmetic.  One
-    last chunked pass copies the buffer into a fresh C-contiguous array,
-    restricted to the True cells of the boolean mask `restrict` (if given)
-    and re-centred there: the inactive cells are zeroed, the mean over the
-    active ones (`_row_sum`) is subtracted and the inactive cells are
-    zeroed again.  The buffer, the restriction and the result are in
-    `dtype`.  Such an instance is not reentrant: it must not be applied
-    from two threads at once.
+    per instance: `buffer`, an array of `shape` in `dtype`, or else one
+    allocated here with rows padded by `_ROW_PAD_BYTES` (`_padded_grid`).
+    The eigenvalue grid is not stored but rebuilt per row chunk of the
+    division from the per-axis vectors, with the same arithmetic.  The
+    buffer is the result: given the boolean mask `restrict`, it is
+    restricted to the True cells and re-centred there, in place (the
+    inactive cells are zeroed, the mean over the active ones (`_row_sum`)
+    is subtracted in one last chunked pass and the inactive cells are
+    zeroed again).  So each call returns the same array, which the next
+    call overwrites; a caller that keeps a result copies it.  Such an
+    instance is not reentrant: it must not be applied from two threads at
+    once.
 
     With a periodic axis the transforms go into fresh arrays (`r` cast to
     `dtype` first) and the division is by a stored grid; no `restrict` is
@@ -614,9 +649,9 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     in float64 it is the last transform's output, and in float32 one last
     chunked pass casts it into a fresh array.
 
-    Where there is a last pass, the returned function's `with_dot(r)`
-    gives the pair (result, r . result) with the product taken in that
-    pass (see `pcg`)."""
+    Where there is a last pass (always on the all-real path), the returned
+    function's `with_dot(r)` gives the pair (result, r . result) with the
+    product taken in that pass (see `pcg`)."""
     (t0, k0, m0), (t1, k1, m1) = axes
     transforms = (t0, t1)
     real = tuple(a for a in (0, 1) if transforms[a] != "rfft")
@@ -660,6 +695,8 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
             np.moveaxis(ends, a, 0)[[0, -1]] *= 2.0
     sizes = [shape[a] for a in periodic]
     if periodic:
+        if restrict is not None or buffer is not None:
+            raise ValueError("only the all-real path takes a mask or a buffer")
         # a stored grid divides faster than one rebuilt per chunk (256^2
         # FFT: 2.35 against 2.48 ms), and on the cell and annulus grids
         # its memory sets no peak
@@ -667,11 +704,11 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     else:
         # the rebuilt eigenvalues pay for the work buffer: see `_ROW_PAD_BYTES`
         stored = None
-        pad = _ROW_PAD_BYTES // dtype.itemsize
-        padded = np.empty((shape[0], shape[1] + pad), dtype)[:, :shape[1]]
+        padded = _padded_grid(shape, dtype) if buffer is None else buffer
+        if padded.shape != tuple(shape) or padded.dtype != dtype:
+            raise ValueError(f"buffer must be a {dtype} array of shape "
+                             f"{tuple(shape)}, got {padded.dtype} {padded.shape}")
     if restrict is not None:
-        if periodic:
-            raise ValueError("only the all-real path restricts its result")
         inactive = np.nonzero(~restrict)
         nact = int(restrict.sum())
 
@@ -708,11 +745,12 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
         return transform  # a fresh array in the result's dtype already
 
     def last_pass(r: np.ndarray, dot: bool):
-        """A fresh output for the result of r, and the chunk kernel of the
-        last pass that writes it (returning its chunk of r . result when
-        `dot`)."""
+        """The output for the result of r (the work buffer itself on the
+        all-real path, a fresh float64 array otherwise), and the chunk
+        kernel of the last pass that writes it (returning its chunk of
+        r . result when `dot`)."""
         w = transform(r)
-        out = np.empty(shape, result)
+        out = w if padded is not None else np.empty(shape, result)
         if restrict is None:
             shift = None
         else:
@@ -721,11 +759,11 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
 
         def rows(i0: int, i1: int) -> Optional[float]:
             block = out[i0:i1]
-            if shift is None:
-                block[...] = w[i0:i1]
-            else:
+            if shift is not None:
                 np.subtract(w[i0:i1], shift, out=block)
                 block *= restrict[i0:i1]
+            elif out is not w:
+                block[...] = w[i0:i1]
             return _chunk_dot(r[i0:i1], block) if dot else None
 
         return out, rows
@@ -781,7 +819,7 @@ def mixed_dct_fft_preconditioner(
 def dct2_preconditioner(
     shape: tuple[int, int], scale: float,
     restrict: Optional[np.ndarray] = None,
-    *, dtype=np.float64,
+    *, dtype=np.float64, buffer: Optional[np.ndarray] = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Inverse of scale * (reflective 5-point Laplacian) via 2-d DCT-II.
 
@@ -789,15 +827,19 @@ def dct2_preconditioner(
     restricted to the active cells and re-centered there, which keeps the
     preconditioner symmetric positive definite on the masked subspace.
 
-    Both transforms run in place on one work buffer of shape
-    (n0, n1 + one cache line) owned by the returned function: the padding
+    Both transforms run in place on one work buffer: `buffer`, an array of
+    `shape` in `dtype` (ValueError otherwise), or else one of shape
+    (n0, n1 + one cache line) allocated here (`_padded_grid`); the padding
     breaks the power-of-two row stride that made the axis-0 pass miss the
     cache at 2048^2.  The eigenvalues are rebuilt per row chunk from the
-    per-axis vectors rather than stored.  One chunked pass copies the
-    buffer out, restricts it, and for the function's `with_dot` also
-    takes r . z (`pcg`).  Each call returns a fresh C-contiguous array,
-    but the function is not reentrant: apply it from one thread at a time
-    (each solve builds its own).
+    per-axis vectors rather than stored.  The buffer is the result: one
+    chunked pass restricts it in place and for the function's `with_dot`
+    also takes r . z (`pcg`).  Each call returns that same array (a view
+    of the padded one), which the next call overwrites, so a caller that
+    keeps a result copies it; a caller may also share the buffer with
+    other work whose data is dead by the next call (`pcg`).  The function
+    is not reentrant: apply it from one thread at a time (each solve
+    builds its own).
 
     `dtype` is the precision of the buffer, the transforms, the eigenvalue
     division, the restriction and the result.  The float64 default is the
@@ -809,7 +851,7 @@ def dct2_preconditioner(
     """
     return _spectral_inverse(
         shape, (_fv_axis("dct2", shape[0]), _fv_axis("dct2", shape[1])), scale,
-        dtype, restrict)
+        dtype, restrict, buffer)
 
 
 def q1_node_preconditioner(

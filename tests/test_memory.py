@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexlab import coefficients, gl_solver, solvers
+from vortexlab import coefficients, gl_solver, singularity_cost, solvers
 from vortexlab.fields import CartesianGrid
 from vortexlab.vortex_analysis import Rectangle, VortexMeasure
 
@@ -39,10 +39,11 @@ def _peak_grids(fn, cells: int) -> float:
 
 
 def test_pcg_holds_x_r_p_z_and_its_operator_output():
-    # measured 5.02 grids: x, r, p, z and one preconditioner transient
-    # (the operator's output exists before the call); it was 7.02 when
-    # pcg kept the projected right-hand side beside r and its first
-    # preconditioner output beside p
+    # measured 4.02 grids: x, p, z and one preconditioner transient (the
+    # operator's output and the right-hand side, which becomes r, exist
+    # before the call); it was 5.02 when pcg copied the right-hand side
+    # into r, and 7.02 when it also kept the projected right-hand side
+    # beside r and its first preconditioner output beside p
     n = 256
     rng = np.random.default_rng(5)
     wx, wy = rng.uniform(1.0, 4.0, (2, n, n))
@@ -59,14 +60,16 @@ def test_pcg_holds_x_r_p_z_and_its_operator_output():
                               project=project)
         assert info.relative_residual <= 1e-8
 
-    assert _peak_grids(solve, n * n) < 5.5
+    assert _peak_grids(solve, n * n) < 4.5
 
 
 def test_core_radius_energy_holds_no_right_hand_side():
-    # measured 8.83 grids at n = 512: the float64 weights, phi and the
-    # float64 operator's (unwritten) output, the float32 weights,
-    # refinement residual, CG vectors and DCT-II buffer, the mask and
-    # transients; it was 10.83 with b and the face data stored as well
+    # measured 7.34 grids at n = 512: the float64 weights, phi and the
+    # float64 operator's (unwritten) output, the float32 weights, the
+    # refinement residual (CG's r), CG's x and p, the one grid that A p,
+    # the DCT-II buffer and z share, the mask and transients; it was 8.83
+    # with CG's own r and separate A p, z and DCT-II buffer, and 10.83
+    # with b and the face data stored as well
     n = 512
     unit = Rectangle((0.0, 0.0), (1.0, 1.0))
     mu = VortexMeasure((((0.43, 0.52), 1), ((0.7, 0.3), -1)), unit)
@@ -78,4 +81,21 @@ def test_core_radius_energy_holds_no_right_hand_side():
         energy, info = gl_solver.core_radius_energy(mu, params, n=n)
         assert info.relative_residual <= 1e-8
 
-    assert _peak_grids(solve, n * n) < 9.5
+    assert _peak_grids(solve, n * n) < 7.8
+
+
+def test_oscillating_solve_stays_within_the_psi_memory_estimate():
+    # `vortexlab psi` refuses a delta whose annulus solve would need more
+    # than physical memory, estimating it as cells times this constant;
+    # measured 7.76 grids (62.1 bytes per cell) at 369 x 503, 8.76 when
+    # the right-hand side was kept beside CG's copy of it
+    checker = coefficients.checkerboard(1.0, 4.0)
+    grid = singularity_cost.oscillating_annulus_grid(1.0, 100.0, 0.1)
+    cells = (grid.n_r - 1) * grid.n_theta
+    assert (grid.n_r - 1, grid.n_theta) == (369, 503)
+    for fixed_trace in (False, True):
+        problem = singularity_cost.AnnulusProblem(
+            grid, 1, coefficient=checker, delta=0.1, fixed_trace=fixed_trace)
+        peak = _peak_grids(lambda: singularity_cost.min_annulus_energy(problem),
+                           cells)
+        assert 8 * peak < singularity_cost._OSCILLATING_SOLVE_BYTES_PER_CELL

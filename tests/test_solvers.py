@@ -48,7 +48,8 @@ def test_pcg_matches_direct_solve():
     m = rng.standard_normal((n, n))
     a = m @ m.T + n * np.eye(n)  # SPD
     b = rng.standard_normal(n)
-    x, info = pcg(lambda v: a @ v, b, lambda r: r.copy(),
+    # pcg overwrites its right-hand side
+    x, info = pcg(lambda v: a @ v, b.copy(), lambda r: r.copy(),
                   rtol=1e-12, maxiter=500)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
     assert info.relative_residual <= 1e-12
@@ -380,7 +381,9 @@ def test_transform_threads_do_not_change_preconditioners(monkeypatch):
     ]
     r = rng.standard_normal(shape)
     keep = r.copy()
-    threaded = [pre(r) for pre in preconditioners]
+    # copies: the DCT-II's result is its work buffer, which the next call
+    # overwrites
+    threaded = [pre(r).copy() for pre in preconditioners]
     monkeypatch.setattr(solvers, "_WORKERS", 1)
     serial = [pre(r) for pre in preconditioners]
     # pcg reuses the residual after preconditioning it
@@ -427,6 +430,18 @@ def _dense_dct2(shape, scale, mask=None, dtype=np.float64):
     return apply
 
 
+def _assert_returns_its_work_buffer(pre, result, shape, dtype):
+    """The all-real path's result is its row-padded work buffer: the next
+    call returns a view of the same memory and overwrites `result`."""
+    assert result.dtype == dtype and result.shape == shape
+    assert result.strides == (shape[1] * result.itemsize
+                              + solvers._ROW_PAD_BYTES, result.itemsize)
+    before = result.copy()
+    again = pre(np.ones(shape))
+    assert again.__array_interface__ == result.__array_interface__
+    assert not np.array_equal(result, before)
+
+
 # 512^2 is threaded and has a power-of-two row stride
 @pytest.mark.parametrize("shape", [(12, 12), (640, 520), (512, 512)])
 @pytest.mark.parametrize("workers", [1, 2])
@@ -448,17 +463,13 @@ def test_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape, workers):
     r = rng.standard_normal(shape)
     keep = r.copy()
     pre = dct2_preconditioner(shape, 1.7)
-    first = pre(r)
-    first_copy = first.copy()
+    first = pre(r).copy()
     second = pre(2.0 * r)
     assert np.array_equal(r, keep)
-    # every call returns a fresh C-contiguous array, not the work buffer
-    assert np.array_equal(first, first_copy)
-    assert first.flags.c_contiguous and second.flags.c_contiguous
-    assert not np.shares_memory(first, second)
     oracle = _dense_dct2(shape, 1.7)
     assert np.array_equal(first, oracle(r))
     assert np.array_equal(second, oracle(2.0 * r))
+    _assert_returns_its_work_buffer(pre, second, shape, np.float64)
 
 
 # -- the float32 work precision ----------------------------------------------------
@@ -476,13 +487,12 @@ def test_float32_dct2_preconditioner_matches_dense_oracle(monkeypatch, shape,
         # a numpy float64 scale must not upcast the float32 eigenvalues
         pre = dct2_preconditioner(shape, np.float64(1.7), restrict=restrict,
                                   dtype=np.float32)
-        first = pre(r)
+        first = pre(r).copy()
         second = pre(2.0 * r)
-        assert first.dtype == np.float32 and first.flags.c_contiguous
-        assert not np.shares_memory(first, second)
         oracle = _dense_dct2(shape, 1.7, restrict, dtype=np.float32)
         assert np.array_equal(first, oracle(r))
         assert np.array_equal(second, oracle(2.0 * r))
+        _assert_returns_its_work_buffer(pre, second, shape, np.float32)
 
 
 def test_float32_dct2_preconditioner_is_close_and_symmetric_on_a_mask():
@@ -499,7 +509,7 @@ def test_float32_dct2_preconditioner_is_close_and_symmetric_on_a_mask():
 
     u, v = masked_mean_zero(), masked_mean_zero()
     want = exact(u)
-    got = single(u)
+    got = single(u).copy()  # single(v) below overwrites its work buffer
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
     assert np.array_equal(got, got * mask)  # restricted in float32
     assert np.sum(v * got) == pytest.approx(np.sum(u * single(v)), rel=1e-5)
@@ -535,6 +545,59 @@ def test_float32_mixed_preconditioner_is_close_and_float64(monkeypatch, shape,
     assert not hasattr(exact, "with_dot")
 
 
+def test_shared_work_grid_gives_the_bits_of_separate_arrays(monkeypatch):
+    # core_radius_energy passes one padded float32 grid as its inner
+    # operator's output and as the DCT-II's buffer; every inner solve must
+    # give the x bits and counts of an operator and a preconditioner with
+    # arrays of their own
+    factories = []
+
+    def recording_factory(*args, **kwargs):
+        factories.append((args, kwargs))
+        return dct2_preconditioner(*args, **kwargs)
+
+    counts = []
+
+    def comparing(inner, rhs, precond, **kwargs):
+        (args, shared), = factories
+        assert shared["buffer"] is not None and shared["restrict"] is not None
+        own_precond = dct2_preconditioner(*args, **dict(shared, buffer=None))
+        own_inner = solvers.FaceOperator(inner.wx, inner.wy)
+        x_own, info_own = pcg(own_inner, rhs.copy(), own_precond, **kwargs)
+        x, info = pcg(inner, rhs, precond, **kwargs)
+        assert x.dtype == np.float32
+        assert info == info_own
+        assert np.array_equal(x, x_own)
+        # the operator's output and the preconditioner's result are one grid
+        assert np.shares_memory(inner.apply(x_own), precond(x_own))
+        counts.append(info.iterations)
+        return x, info
+
+    monkeypatch.setattr(gl_solver, "dct2_preconditioner", recording_factory)
+    monkeypatch.setattr(gl_solver, "pcg", comparing)
+    unit = Rectangle((0.0, 0.0), (1.0, 1.0))
+    mu = VortexMeasure((((0.43, 0.52), 1), ((0.7, 0.3), -1)), unit)
+    params = gl_solver.GLParameters(
+        0.05, 0.05, CHECKER, CartesianGrid((0.0, 0.0), (1.0, 1.0), (16, 16)))
+    _, info = gl_solver.core_radius_energy(mu, params, n=256)
+    assert len(counts) == info.outer_steps == 2
+    assert sum(counts) == info.iterations and min(counts) > 1
+
+
+def test_work_arrays_of_the_wrong_shape_or_dtype_are_refused():
+    shape = (12, 16)
+    wx, wy = np.ones((11, 16), np.float32), np.ones((12, 15), np.float32)
+    good = solvers._padded_grid(shape, np.float32)
+    solvers.FaceOperator(wx, wy, out=good)
+    dct2_preconditioner(shape, 1.0, dtype=np.float32, buffer=good)
+    for bad in (np.empty((12, 17), np.float32), np.empty((16, 12), np.float32),
+                np.empty(shape), solvers._padded_grid(shape, np.float64)):
+        with pytest.raises(ValueError, match="out must be"):
+            solvers.FaceOperator(wx, wy, out=bad)
+        with pytest.raises(ValueError, match="buffer must be"):
+            dct2_preconditioner(shape, 1.0, dtype=np.float32, buffer=bad)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_dctn_transforms_a_row_padded_view_in_place(workers):
     # the dct2 preconditioner's work buffer relies on this: scipy writes the
@@ -567,7 +630,7 @@ def test_pcg_threads_do_not_change_solution(monkeypatch):
     results = {}
     for workers in (2, 1):
         monkeypatch.setattr(solvers, "_WORKERS", workers)
-        results[workers] = pcg(op, b, pre, rtol=1e-8, maxiter=500,
+        results[workers] = pcg(op, b.copy(), pre, rtol=1e-8, maxiter=500,
                                project=project)
     (x2, info2), (x1, info1) = results[2], results[1]
     assert info1.iterations > 1
@@ -672,6 +735,7 @@ def test_fused_dots_match_the_unfused_ones(monkeypatch, shape, dtype):
         for restrict in (None, mask):
             pre = dct2_preconditioner(shape, 1.3, restrict=restrict, dtype=dtype)
             z, rz = pre.with_dot(phi)
+            z = z.copy()  # the next call overwrites the work buffer
             plain = pre(phi)
             assert z.dtype == dtype
             assert np.array_equal(z, plain)
@@ -695,8 +759,8 @@ def test_pcg_runs_in_float32_with_float64_inner_products():
         return v
 
     op = solvers.FaceOperator(np.ones((n, n), np.float32), np.ones((n, n), np.float32))
-    x, info = pcg(op, b, periodic_fft_preconditioner((n, n), 1.0), rtol=1e-4,
-                  maxiter=100, project=project)
+    x, info = pcg(op, b.copy(), periodic_fft_preconditioner((n, n), 1.0),
+                  rtol=1e-4, maxiter=100, project=project)
     assert x.dtype == np.float32
     residual = np.linalg.norm(_periodic_laplacian(x.astype(np.float64)) - b)
     assert residual <= 2e-4 * np.linalg.norm(b)

@@ -106,8 +106,7 @@ def _cell_center_grid(n: int) -> CartesianGrid:
 def _face_weights(coeff: PeriodicCoefficient, n: int) -> tuple[np.ndarray, np.ndarray]:
     h = 1.0 / n
     yc = (np.arange(n) + 0.5) * h
-    y1, y2 = np.meshgrid(yc, yc, indexing="ij")
-    a = coeff.eval(np.stack([y1, y2], axis=-1).reshape(-1, 2)).reshape(n, n)
+    a = coeff.eval_grid(yc, yc)
     an1 = np.roll(a, -1, axis=0)
     an2 = np.roll(a, -1, axis=1)
     wx = 2.0 * a * an1 / (a + an1)

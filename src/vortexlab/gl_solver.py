@@ -47,6 +47,7 @@ from .solvers import (
     SolverError,
     _chunk_dot,
     _chunk_sum,
+    _face_rows,
     _padded_grid,
     _row_blocks,
     _row_sum,
@@ -117,12 +118,8 @@ def _edge_coefficients(
     """Coefficient sampled at x-edge and y-edge midpoints, scaled by 1/delta."""
     x, y = grid.node_axes()
     h = grid.h
-    mx, my = np.meshgrid(x[:-1] + 0.5 * h, y, indexing="ij")
-    a_ex = coeff.eval(np.stack([mx, my], axis=-1).reshape(-1, 2) / delta)
-    mx, my = np.meshgrid(x, y[:-1] + 0.5 * h, indexing="ij")
-    a_ey = coeff.eval(np.stack([mx, my], axis=-1).reshape(-1, 2) / delta)
-    nx, ny = grid.n
-    return a_ex.reshape(nx, ny + 1), a_ey.reshape(nx + 1, ny)
+    return (coeff.eval_grid((x[:-1] + 0.5 * h) / delta, y / delta),
+            coeff.eval_grid(x / delta, (y[:-1] + 0.5 * h) / delta))
 
 
 def _node_area_weights(grid: CartesianGrid) -> np.ndarray:
@@ -359,39 +356,44 @@ def core_radius_energy(
     evaluated once per face family on points built from the 1-d
     coordinates, and the mask, the face weights' masking and the angle
     fields' gradient are computed per row chunk (`solvers._row_blocks`)
-    from broadcast 1-d coordinates.  Neither the gradient nor the
-    right-hand side b is stored: b is `FaceOperator.rhs` of the gradient,
-    projected onto mean-zero functions on the active cells, and each
-    residual pass rebuilds its rows per chunk from the gradient and the
-    masked weights, with the arithmetic of `rhs` and of that projection
-    (one chunked pass computes the projection's shift first).  The energy
-    recomputes the gradient per row chunk too.  The refinement residual is
-    CG's r: `pcg` works in place on its right-hand side.  One row-padded
+    from broadcast 1-d coordinates.  The float64 face weights live only
+    through the set-up, which takes from them the projection's shift, the
+    preconditioner's mean weight and the float32 weights; every later pass
+    that reads float64 weights rebuilds its rows per chunk
+    (`PeriodicCoefficient.eval_grid`, then the mask), with their bits, and
+    applies the operator's row kernel to them (`solvers._face_rows`).
+    Neither the gradient nor the right-hand side b is stored either: b is
+    `FaceOperator.rhs` of the gradient, projected onto mean-zero functions
+    on the active cells, and each residual pass rebuilds its rows per
+    chunk from the gradient and the rebuilt weights, with the arithmetic
+    of `rhs` and of that projection, so one weight evaluation per chunk
+    serves both b and A phi.  The set-up pass that computes the
+    projection's shift stages b's rows in phi, and the first residual,
+    b - A 0 = b, is read from them.  The energy recomputes the gradient
+    and the weights per row chunk too.  The refinement residual is CG's
+    r: `pcg` works in place on its right-hand side.  One row-padded
     float32 grid is both the inner operator's output and the DCT-II's
     work buffer, whose result z is that buffer restricted in place; `pcg`
     reads A p only before the preconditioner runs and z only before the
     next operator call, so A p, the transforms and z take turns in it.
-    The 2048^2 solve thus writes 3 float64 grid arrays (the weights and
-    phi) and 6 float32 ones (the weights, the residual r, CG's x and p,
-    and the shared grid), about 48 bytes per cell; the float64 operator's
-    reusable output is allocated but never written, because that operator
-    only forms residuals.
+    The 2048^2 solve thus holds 1 float64 grid array (phi) and 6 float32
+    ones (the weights, the residual r, CG's x and p, and the shared grid),
+    about 32 bytes per cell, as much as the set-up's peak (the two float64
+    weight arrays beside phi and the float32 weights).
 
     Precision: the solve is float64 iterative refinement around a float32
     CG (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Each outer step
     solves A d = r to `_INNER_RTOL` with `solvers.pcg` entirely in float32
     (face weights, vectors, and the masked DCT-II preconditioner; its
     inner products are float64), adds d to phi in float64, and forms the
-    next residual r = b - A phi with the float64 operator
-    (`FaceOperator.residual`, whose row pass also casts r to float32); the
-    same pass at phi = 0 gives ||b|| and the first right-hand side.  The
-    loop stops when the float64 relative residual is at most `rtol`,
-    within 50 n inner iterations in all.  Each float32 iteration moves
-    half the bytes of a float64 one; the scaling rows take 2 outer steps
-    and 23 inner iterations where a float64 CG takes 21, and their
-    energies agree with a float64 CG to 1e-12 relative.  Energy and
-    `SolveInfo` are bit-for-bit the same for every thread count and BLAS
-    setting.
+    next residual r = b - A phi with float64 weights and arithmetic, in a
+    row pass that also casts r to float32.  The loop stops when the
+    float64 relative residual is at most `rtol`, within 50 n inner
+    iterations in all.  Each float32 iteration moves half the bytes of a
+    float64 one; the scaling rows take 2 outer steps and 23 inner
+    iterations where a float64 CG takes 21, and their energies agree with
+    a float64 CG to 1e-12 relative.  Energy and `SolveInfo` are
+    bit-for-bit the same for every thread count and BLAS setting.
 
     Returns (energy, SolveInfo of the refined solve: inner iterations in
     all, final float64 relative residual, outer steps).  Raises
@@ -459,15 +461,36 @@ def core_radius_energy(
 
     _row_blocks(active, mask_faces)
 
-    def rhs_rows(i0: int, i1: int, shift: float) -> np.ndarray:
+    def x_weights(f0: int, f1: int) -> np.ndarray:
+        """Rows f0..f1-1 of the masked `wx`, rebuilt with its bits."""
+        w = coeff.eval_grid(xf[f0:f1] / delta, yc / delta)
+        rows = active[f0:f1 + 1]
+        if not rows.all():  # a factor of 1.0 leaves every bit as it is
+            w *= rows[:-1] & rows[1:]
+        return w
+
+    def y_weights(i0: int, i1: int) -> np.ndarray:
+        """Rows i0..i1-1 of the masked `wy`, rebuilt with its bits."""
+        w = coeff.eval_grid(xc[i0:i1] / delta, yf / delta)
+        rows = active[i0:i1]
+        if not rows.all():
+            w *= rows[:, :-1] & rows[:, 1:]
+        return w
+
+    def rhs_rows(i0: int, i1: int, shift: float, wx_rows: np.ndarray,
+                 wy_rows: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Rows i0..i1-1 of b = `FaceOperator.rhs` of the face data, less
-        `shift`, zeroed on the inactive cells: each element takes the
-        operations of `rhs` in its order, so its bits do not depend on
-        the rows asked for."""
+        `shift`, zeroed on the inactive cells, written into `b`, from the
+        weights of the x faces max(i0 - 1, 0)..min(i1, n - 1) - 1 and of
+        the y faces of the rows: each element takes the operations of
+        `rhs` in its order, so its bits do not depend on the rows asked
+        for."""
         lo, j1 = max(i0 - 1, 0), min(i1, n - 1)
-        tx = wx[lo:j1] * x_face_data(lo, j1)  # x faces lo..j1-1
-        ty = wy[i0:i1] * y_face_data(i0, i1)
-        b = np.zeros((i1 - i0, n))
+        tx = x_face_data(lo, j1)
+        tx *= wx_rows
+        ty = y_face_data(i0, i1)
+        ty *= wy_rows
+        b.fill(0.0)
         b[:j1 - i0] += tx[i0 - lo:]
         b[lo + 1 - i0:] -= tx[:i1 - 1 - lo]
         b[:, :n - 1] += ty
@@ -478,49 +501,79 @@ def core_radius_energy(
 
     # b projected onto mean-zero functions on the active cells: the mean
     # of its active cells (summed per row chunk in chunk order) is
-    # subtracted in every rebuild of its rows
-    shift = _row_sum(active, lambda i0, i1: _chunk_sum(
-        rhs_rows(i0, i1, 0.0))) / int(active.sum())
-    operator = FaceOperator(wx, wy)
+    # subtracted in every rebuild of its rows.  This pass stages b's rows
+    # in phi, and the first residual b - A 0 = b is read from them.
+    phi = np.empty((n, n))
+    shift = _row_sum(active, lambda i0, i1: _chunk_sum(rhs_rows(
+        i0, i1, 0.0, wx[max(i0 - 1, 0):min(i1, n - 1)], wy[i0:i1],
+        phi[i0:i1]))) / int(active.sum())
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
+    inner_weights = wx.astype(_INNER_DTYPE), wy.astype(_INNER_DTYPE)
+    # the float64 weights are not kept: each later pass rebuilds the rows
+    # it reads (`x_weights`, `y_weights`)
+    del wx, wy
     # A p, the DCT-II's transforms and z, in turn (see `pcg`)
     work = _padded_grid((n, n), _INNER_DTYPE)
-    inner = FaceOperator(wx.astype(_INNER_DTYPE), wy.astype(_INNER_DTYPE),
-                         out=work)
+    inner = FaceOperator(*inner_weights, out=work)
     precond = dct2_preconditioner((n, n), abar, restrict=active,
                                   dtype=_INNER_DTYPE, buffer=work)
-    phi, info = _refine(operator, lambda i0, i1: rhs_rows(i0, i1, shift),
-                        inner, precond, rtol=rtol, maxiter=50 * n)
+    r = np.empty((n, n), _INNER_DTYPE)
+
+    def first_residual(i0: int, i1: int) -> float:
+        b = phi[i0:i1]
+        b -= shift
+        np.copyto(b, 0.0, where=~active[i0:i1])
+        r[i0:i1] = b
+        squared = _chunk_dot(b, b)
+        b.fill(0.0)
+        return squared
+
+    def residual_rows(i0: int, i1: int) -> float:
+        """Rows i0..i1-1 of b - A phi into r; their squared float64 norm."""
+        wx_rows = x_weights(max(i0 - 1, 0), min(i1, n - 1))
+        wy_rows = y_weights(i0, i1)
+        b = rhs_rows(i0, i1, shift, wx_rows, wy_rows, np.empty((i1 - i0, n)))
+        ap = _face_rows(phi, i0, i1, np.empty_like(b), wx_rows, wy_rows)
+        np.subtract(b, ap, out=ap)
+        r[i0:i1] = ap
+        return _chunk_dot(ap, ap)
+
+    bnorm = math.sqrt(_row_sum(phi, first_residual))
+    info = _refine(phi, r, bnorm, lambda: _row_sum(r, residual_rows),
+                   inner, precond, rtol=rtol, maxiter=50 * n)
 
     def energy_rows(i0: int, i1: int) -> float:
         j1 = min(i1, n - 1)
         gx, gy = x_face_data(i0, j1), y_face_data(i0, i1)
         gx += phi[i0 + 1:j1 + 1] - phi[i0:j1]
         gy += phi[i0:i1, 1:] - phi[i0:i1, :-1]
-        return _chunk_dot(wx[i0:j1] * gx, gx) + _chunk_dot(wy[i0:i1] * gy, gy)
+        tx, ty = x_weights(i0, j1), y_weights(i0, i1)
+        tx *= gx
+        ty *= gy
+        return _chunk_dot(tx, gx) + _chunk_dot(ty, gy)
 
     return _row_sum(phi, energy_rows), info
 
 
-def _refine(operator: FaceOperator, b_rows: Callable[[int, int], np.ndarray],
-            inner: FaceOperator, precond, *, rtol: float,
-            maxiter: int) -> tuple[np.ndarray, SolveInfo]:
-    """Solve operator phi = b to relative residual `rtol` by iterative
+def _refine(phi: np.ndarray, r: np.ndarray, bnorm: float,
+            residual: Callable[[], float], inner: FaceOperator, precond, *,
+            rtol: float, maxiter: int) -> SolveInfo:
+    """Solve A phi = b in place to relative residual `rtol` by iterative
     refinement: float64 residuals, corrections from `pcg` on `inner` and
     `precond` in their own precision, at most `maxiter` inner iterations
-    in all (see `core_radius_energy`).  b is given by its rows,
-    `b_rows(i0, i1)` (`FaceOperator.residual`), and never stored."""
-    phi = np.zeros(operator.shape)
-    # the residual in the inner precision, the right-hand side of each
-    # step and CG's r in it (`pcg` overwrites it; the residual pass after
-    # the step writes it again); the first is b - A 0 = b, bit for bit
-    r = np.empty(operator.shape, inner.wx.dtype)
-    bnorm = math.sqrt(operator.residual(phi, b_rows, r))
+    in all (see `core_radius_energy`).
+
+    On entry phi is 0 and r, in the inner precision, holds the first
+    residual b, whose float64 norm is `bnorm`.  `residual()` writes
+    b - A phi into r for the current phi and returns its float64 squared
+    norm; r is also the right-hand side of each inner solve and CG's r
+    (`pcg` overwrites it, and the residual pass after the step writes it
+    again)."""
     if not math.isfinite(bnorm):
         raise SolverError("refinement got a non-finite right-hand side",
                           iterations=0)
     if bnorm == 0.0:
-        return phi, SolveInfo(0, 0.0, 0)
+        return SolveInfo(0, 0.0, 0)
     res = bnorm
     iterations = steps = 0
     while res > rtol * bnorm:
@@ -539,7 +592,7 @@ def _refine(operator: FaceOperator, b_rows: Callable[[int, int], np.ndarray],
 
         _row_blocks(phi, correct)
         d = None  # free before the residual pass and the next inner solve
-        previous, res = res, math.sqrt(operator.residual(phi, b_rows, r))
+        previous, res = res, math.sqrt(residual())
         if not math.isfinite(res):
             raise SolverError(
                 f"refinement met a non-finite residual (step {steps})",
@@ -548,7 +601,7 @@ def _refine(operator: FaceOperator, b_rows: Callable[[int, int], np.ndarray],
             raise SolverError(
                 f"refinement stagnated at relative residual {res / bnorm:.3e} "
                 f"(step {steps})", residual=res / bnorm, iterations=iterations)
-    return phi, SolveInfo(iterations, res / bnorm, steps)
+    return SolveInfo(iterations, res / bnorm, steps)
 
 
 # -- minimization ---------------------------------------------------------------------
@@ -662,6 +715,49 @@ class _DescentKernel:
         return c2, c3, c4
 
 
+#: Relative residual |p(t)| / (sum of |terms|) a polished closed-form root
+#: of the line search's cubic must reach, or the step falls back to
+#: `np.roots`.
+_CUBIC_RTOL = 1e-9
+
+
+def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
+    """The real roots of a t^3 + b t^2 + c t + d (a != 0) in closed form,
+    each polished by two Newton steps, or [] when one misses `_CUBIC_RTOL`.
+
+    Cardano's formula for one real root, written so that nothing cancels;
+    the trigonometric form for three; a repeated root appears once per
+    multiplicity, as the trigonometric form gives it."""
+    bb, cc, dd = b / a, c / a, d / a
+    shift = bb / 3.0
+    p = cc - bb * shift
+    q = (2.0 * shift * shift - cc) * shift + dd
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc > 0.0:
+        u = math.cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
+        roots = [u - p / (3.0 * u)]
+    elif p == 0.0:
+        roots = [0.0] * 3
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
+        theta = math.acos(arg) / 3.0
+        roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    polished = []
+    for s in roots:
+        t = s - shift
+        for _ in range(2):
+            slope = (3.0 * a * t + 2.0 * b) * t + c
+            if slope == 0.0:
+                break
+            t -= (((a * t + b) * t + c) * t + d) / slope
+        scale = abs(a * t * t * t) + abs(b * t * t) + abs(c * t) + abs(d)
+        if not abs(((a * t + b) * t + c) * t + d) <= _CUBIC_RTOL * scale:
+            return []
+        polished.append(t)
+    return polished
+
+
 def _quartic_step(
     c1: float, c2: float, c3: float, c4: float
 ) -> tuple[float, float]:
@@ -669,16 +765,22 @@ def _quartic_step(
     phi(t) = c1 t + c2 t^2 + c3 t^3 + c4 t^4, and phi(t).
 
     With c1 < 0 < c4 the cubic phi' has a positive real root, and the
-    minimum of phi over t > 0 is at one of them; the real parts of a complex
-    pair are harmless extra candidates.  Non-finite coefficients give nan.
+    minimum of phi over t > 0 is at one of them.  The roots come in closed
+    form (`_cubic_real_roots`); where one fails its residual check, or
+    c4 = 0, from `np.roots`, whose complex pairs' real parts are harmless
+    extra candidates.  Non-finite coefficients give nan.
     """
     if not math.isfinite(c1 + c2 + c3 + c4):
         return math.nan, math.nan
-    ts = np.roots((4.0 * c4, 3.0 * c3, 2.0 * c2, c1)).real
-    ts = ts[ts > 0.0]
-    phis = (((c4 * ts + c3) * ts + c2) * ts + c1) * ts
-    i = int(np.argmin(phis))
-    return float(ts[i]), float(phis[i])
+    roots = _cubic_real_roots(4.0 * c4, 3.0 * c3, 2.0 * c2, c1) if c4 else []
+    if not roots:
+        roots = np.roots((4.0 * c4, 3.0 * c3, 2.0 * c2, c1)).real.tolist()
+    candidates = [((((c4 * t + c3) * t + c2) * t + c1) * t, t)
+                  for t in roots if t > 0.0]
+    if not candidates:
+        return math.nan, math.nan
+    phi, t = min(candidates)
+    return t, phi
 
 
 def minimize_gl(

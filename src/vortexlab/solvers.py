@@ -221,11 +221,13 @@ def _row_sum(a: np.ndarray, fn: Callable[[int, int], float]) -> float:
 
 def _chunk_dot(u: np.ndarray, v: np.ndarray) -> float:
     """u . v of one chunk, summed in float64 (float32 products are rounded
-    to float32 and then summed in float64).  The float32 products go into
-    a contiguous float64 array of the chunk's shape, whose sum has the bits
-    of the 1-d one, so a row-padded view is not copied first."""
+    to float32 and then summed in float64), in the chunk's own shape, so a
+    row-padded view is not copied first.  On contiguous chunks the float64
+    sum has the bits of the 1-d one; the float32 products go into a
+    contiguous float64 array, whose sum has them too."""
     if u.dtype.char == v.dtype.char == "d":
-        return float(np.einsum("i,i->", u.reshape(-1), v.reshape(-1)))
+        axes = list(range(u.ndim))
+        return float(np.einsum(u, axes, v, axes, []))
     return float(np.multiply(u, v, out=np.empty(u.shape)).sum())
 
 
@@ -455,61 +457,17 @@ class FaceOperator:
         return out, _row_sum(out, lambda i0, i1: _chunk_dot(
             phi[i0:i1], rows(i0, i1, out[i0:i1])))
 
-    def residual(self, phi: np.ndarray,
-                 b_rows: Callable[[int, int], np.ndarray],
-                 out: np.ndarray) -> float:
-        """Write b - A phi into `out` (of any float dtype) and return its
-        float64 squared norm, both from one row pass in which A phi and
-        b - A phi exist only per chunk, in the weights' dtype.
-
-        b is given by its rows: `b_rows(i0, i1)` returns rows i0..i1-1
-        for each row chunk of the pass, so a caller need not store b and
-        may rebuild them from the data that define it.  It runs on the
-        pass's threads and must not call `_row_blocks`."""
-        rows = self._rows(phi)
-
-        def chunk(i0: int, i1: int) -> float:
-            r = rows(i0, i1, np.empty((i1 - i0, self.shape[1]), self._out.dtype))
-            np.subtract(b_rows(i0, i1), r, out=r)
-            out[i0:i1] = r
-            return _chunk_dot(r, r)
-
-        return _row_sum(out, chunk)
-
     def _rows(self, phi: np.ndarray) -> Callable[[int, int, np.ndarray], np.ndarray]:
-        """The row kernel: rows(i0, i1, block) writes rows i0..i1-1 of A phi
-        into `block` and returns it."""
+        """The row kernel on this operator's weights: rows(i0, i1, block)
+        writes rows i0..i1-1 of A phi into `block` and returns it."""
         wx, wy, pinned = self.wx, self.wy, self.pinned
-        n0, n1 = self.shape
-        m1 = wy.shape[1]
+        n0 = self.shape[0]
+        wrap = wx[-1] if len(wx) == n0 else None
 
         def rows(i0: int, i1: int, block: np.ndarray) -> np.ndarray:
-            # fluxes through faces i0..i1 of axis 0 (face i lies below row
-            # i; the end faces are the wrapped one or carry none), then row
-            # i gets fx[i] - fx[i+1] and its axis-1 fluxes
-            lo, hi = max(i0, 1), min(i1, n0 - 1)
-            fx = np.zeros((i1 - i0 + 1, n1), block.dtype)
-            np.multiply(wx[lo - 1:hi], phi[lo:hi + 1] - phi[lo - 1:hi],
-                        out=fx[lo - i0:hi - i0 + 1])
-            if len(wx) == n0 and (i0 == 0 or i1 == n0):
-                wrapped = wx[-1] * (phi[0] - phi[-1])
-                if i0 == 0:
-                    fx[0] = wrapped
-                if i1 == n0:
-                    fx[-1] = wrapped
-            np.subtract(fx[:-1], fx[1:], out=block)
-            fy = _differences(phi[i0:i1], 1, m1)
-            fy *= wy[i0:i1]
-            block[:, :m1] -= fy
-            block[:, 1:] += fy[:, :n1 - 1]
-            if m1 == n1:
-                block[:, 0] += fy[:, -1]
-            if pinned is not None:
-                if i0 == 0:
-                    block[0] += pinned[0] * phi[0]
-                if i1 == n0:
-                    block[-1] += pinned[1] * phi[-1]
-            return block
+            return _face_rows(phi, i0, i1, block,
+                              wx[max(i0, 1) - 1:min(i1, n0 - 1)], wy[i0:i1],
+                              wrap, pinned)
 
         return rows
 
@@ -536,6 +494,50 @@ class FaceOperator:
         if self.pinned is not None:
             energy += float(np.sum(self.pinned * phi[[0, -1], :] ** 2))
         return energy
+
+
+def _face_rows(phi: np.ndarray, i0: int, i1: int, block: np.ndarray,
+               wx_rows: np.ndarray, wy_rows: np.ndarray,
+               wrap: Optional[np.ndarray] = None,
+               pinned: Optional[np.ndarray] = None) -> np.ndarray:
+    """The row kernel of `FaceOperator`: write rows i0..i1-1 of A phi into
+    `block` and return it, given only the weights those rows read.
+
+    `wx_rows` weights the axis-0 faces between rows max(i0, 1) - 1 and
+    min(i1, n0 - 1) (faces max(i0, 1) - 1 .. min(i1, n0 - 1) - 1 of
+    `FaceOperator.wx`), `wy_rows` the axis-1 faces of rows i0..i1-1.  A
+    periodic axis 0 passes the weight row of its wrapped face (`wrap`, the
+    last row of wx), pinned ends their `pinned` weights.  So a caller that
+    does not store the weights can rebuild just these rows per chunk
+    (`gl_solver.core_radius_energy`)."""
+    n0, n1 = phi.shape
+    m1 = wy_rows.shape[1]
+    # fluxes through faces i0..i1 of axis 0 (face i lies below row i; the
+    # end faces are the wrapped one or carry none), then row i gets
+    # fx[i] - fx[i+1] and its axis-1 fluxes
+    lo, hi = max(i0, 1), min(i1, n0 - 1)
+    fx = np.zeros((i1 - i0 + 1, n1), block.dtype)
+    np.multiply(wx_rows, phi[lo:hi + 1] - phi[lo - 1:hi],
+                out=fx[lo - i0:hi - i0 + 1])
+    if wrap is not None and (i0 == 0 or i1 == n0):
+        wrapped = wrap * (phi[0] - phi[-1])
+        if i0 == 0:
+            fx[0] = wrapped
+        if i1 == n0:
+            fx[-1] = wrapped
+    np.subtract(fx[:-1], fx[1:], out=block)
+    fy = _differences(phi[i0:i1], 1, m1)
+    fy *= wy_rows
+    block[:, :m1] -= fy
+    block[:, 1:] += fy[:, :n1 - 1]
+    if m1 == n1:
+        block[:, 0] += fy[:, -1]
+    if pinned is not None:
+        if i0 == 0:
+            block[0] += pinned[0] * phi[0]
+        if i1 == n0:
+            block[-1] += pinned[1] * phi[-1]
+    return block
 
 
 def _differences(phi: np.ndarray, axis: int, faces: int) -> np.ndarray:

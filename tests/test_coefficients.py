@@ -221,3 +221,46 @@ def test_eval_rejects_non_finite_points(bad):
         with pytest.raises(ValueError, match="non-finite point"):
             a.eval(pts[BLOCK + 2])
         a.eval(pts[:BLOCK])  # the finite first block alone is accepted
+
+
+# -- tensor-grid evaluation against point evaluation -------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # 1..7 coordinates per axis, and a grid of three blocks
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7))
+    | st.just((49, 2048)),
+    raster_size=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 40.0, 1e15]),
+    edges=st.lists(st.sampled_from(EDGES)
+                   | st.floats(-1e15, 1e15, allow_nan=False)
+                   | st.integers(-40, 40).map(lambda k: k / 2.0),
+                   min_size=1, max_size=8),
+)
+def test_eval_grid_matches_eval_on_the_stacked_points(shape, raster_size, seed,
+                                                      scale, edges):
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-scale, scale, shape[0])
+    v = rng.uniform(-scale, scale, shape[1])
+    for c in (u, v):
+        c[rng.integers(0, len(c), size=len(edges))] = edges
+    pts = np.empty(shape + (2,))
+    pts[..., 0] = u[:, None]
+    pts[..., 1] = v
+    samples = rng.uniform(1.0, 3.0, (raster_size, raster_size))
+    for a in KINDS + (raster(samples),):
+        got = a.eval_grid(u, v)
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.array_equal(got, a.eval(pts))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_grid_rejects_non_finite_coordinates(bad):
+    good = np.linspace(-3.0, 3.0, 5)
+    for a in KINDS:
+        for u, v, name in ((np.where(good > 2, bad, good), good, "u"),
+                           (good, np.where(good < -2, bad, good), "v")):
+            with pytest.raises(ValueError, match=f"non-finite coordinate {name}"):
+                a.eval_grid(u, v)

@@ -438,6 +438,80 @@ def test_line_search_quartic_matches_energy_differences():
             exact, rel=1e-10)
 
 
+# (c1, c2, c3, c4) of every 40th line search of a 400-iteration descent on
+# a 128^2 grid (checkerboard(1, 4), eps = delta = 2^-5, a +-1 pair from
+# `recovery_field`)
+RECORDED_QUARTICS = [
+    (-819.6817465523369, 8310.97567279307, -65.27272665712316, 93.78098931135303),
+    (-13.362600284557667, 88.59938741094945, 5.9815468895174355, 17.828634718879663),
+    (-6.352385424061994, 37.10223839153105, 1.0600264394011745, 0.1504419087926325),
+    (-0.7442040797442702, 4.429400584746656, -0.0026521191555186367,
+     0.002068415189759331),
+    (-0.09812240597905579, 0.6467443780827123, -0.0007575125954770839,
+     2.2632105609282156e-05),
+    (-0.007081982082980598, 0.040385400785505746, 3.8121090776494842e-06,
+     1.663665018153105e-07),
+    (-0.004254758808921055, 0.025113284081867093, 1.4973301351110163e-05,
+     3.5450153377881287e-07),
+    (-0.0007317660945573007, 0.004599474196454119, -8.004446114906863e-07,
+     2.9695827047256378e-09),
+    (-6.230086104931477e-05, 0.0004049028965027584, -5.413302519692231e-09,
+     1.1877535024509926e-11),
+    (-1.0341876050421164e-05, 6.399889772343524e-05, 7.730146493203567e-10,
+     4.448145035918133e-13),
+]
+# phi'(t) = 4 c4 t^3 + 3 c3 t^2 + 2 c2 t + c1 with known roots
+CONSTRUCTED_QUARTICS = {
+    # 4 (t - 1)(t^2 + 1): one real root
+    "one real root": (-4.0, 2.0, -4.0 / 3.0, 1.0),
+    # 4 (t - 0.5)(t - 1.5)(t - 3): minima at 0.5 and 3, the lower at 3
+    "three real roots": (-9.0, 13.5, -20.0 / 3.0, 1.0),
+    # 4 (t - 0.2)(t - 1.5)(t - 2): minima at 0.2 and 2, the lower at 0.2
+    "three real roots, the first lowest": (-2.4, 7.4, -14.8 / 3.0, 1.0),
+    # 4 (t - 1)^2 (t - 3): a double root below the minimum
+    "double root": (-12.0, 14.0, -20.0 / 3.0, 1.0),
+    # 4 (t - 1)(t - 2)^2: the minimum below a double root
+    "double root above": (-16.0, 16.0, -20.0 / 3.0, 1.0),
+    "c3 = 0, one real root": (-1.0, 2.0, 0.0, 0.5),
+    "c3 = 0, three real roots": (-0.5, -3.0, 0.0, 1.0),
+}
+
+
+def _numpy_quartic_step(c1, c2, c3, c4):
+    """The step as `np.roots` gives it: the lowest phi over the real parts
+    of the roots of phi' that are positive."""
+    ts = np.roots((4.0 * c4, 3.0 * c3, 2.0 * c2, c1)).real
+    ts = ts[ts > 0.0]
+    phis = (((c4 * ts + c3) * ts + c2) * ts + c1) * ts
+    i = int(np.argmin(phis))
+    return float(ts[i]), float(phis[i])
+
+
+@pytest.mark.parametrize("coeffs", RECORDED_QUARTICS
+                         + list(CONSTRUCTED_QUARTICS.values()),
+                         ids=[f"descent-{i}" for i in range(len(RECORDED_QUARTICS))]
+                         + list(CONSTRUCTED_QUARTICS))
+def test_closed_form_step_matches_numpy_roots(monkeypatch, coeffs):
+    want_t, want_phi = _numpy_quartic_step(*coeffs)
+    t, phi = gl_solver._quartic_step(*coeffs)
+    assert t == pytest.approx(want_t, rel=1e-12, abs=0.0)
+    assert phi == pytest.approx(want_phi, rel=1e-12, abs=0.0)
+    # and the closed form answers without the fallback
+    monkeypatch.setattr(gl_solver.np, "roots", None)
+    assert gl_solver._quartic_step(*coeffs) == (t, phi)
+
+
+def test_step_falls_back_to_numpy_roots(monkeypatch):
+    # when every closed-form root misses the residual check, and when
+    # phi' is a quadratic (c4 = 0), np.roots gives the step
+    monkeypatch.setattr(gl_solver, "_CUBIC_RTOL", -1.0)
+    for coeffs in CONSTRUCTED_QUARTICS.values():
+        assert gl_solver._quartic_step(*coeffs) == _numpy_quartic_step(*coeffs)
+    monkeypatch.undo()
+    assert gl_solver._quartic_step(-2.0, 1.0, 0.0, 0.0) == (1.0, -1.0)
+    assert math.isnan(gl_solver._quartic_step(math.inf, 1.0, 0.0, 1.0)[0])
+
+
 def _checkerboard_recovery(k):
     eps = 2.0**-k
     params = GLParameters(eps, eps, coefficients.checkerboard(1.0, 4.0),

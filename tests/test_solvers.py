@@ -852,18 +852,27 @@ def _dense_face_matrix(wx, wy, pinned, shape):
 
 
 @pytest.mark.parametrize("kind", FACE_KINDS)
-def test_face_operator_residual_is_one_pass_of_b_minus_a_phi(kind):
-    shape = (600, 520)  # threaded
+def test_face_rows_from_weight_rows_give_the_operator_bits(kind):
+    # a caller that keeps no weights (the core-radius residual and energy)
+    # passes each chunk only the weight rows it reads, as copies
+    shape = (60, 52)
     rng = np.random.default_rng(22)
     wx, wy, pinned = _face_case(kind, shape, rng)
     op = solvers.FaceOperator(wx, wy, pinned)
-    phi, b = rng.standard_normal((2,) + shape)
-    want = b - op.apply(phi)
-    for dtype in (np.float64, np.float32):
-        out = np.empty(shape, dtype)
-        squared = op.residual(phi, lambda i0, i1: b[i0:i1], out)
-        assert np.array_equal(out, want.astype(dtype))
-        assert squared == solvers.dot(want, want)
+    phi = rng.standard_normal(shape)
+    want = op.apply(phi).copy()
+    n0 = shape[0]
+    wrap = wx[-1].copy() if len(wx) == n0 else None
+    for step in (1, 7, n0):
+        got = np.empty(shape)
+        for i0 in range(0, n0, step):
+            i1 = min(i0 + step, n0)
+            block = solvers._face_rows(
+                phi, i0, i1, got[i0:i1],
+                wx[max(i0, 1) - 1:min(i1, n0 - 1)].copy(), wy[i0:i1].copy(),
+                wrap, pinned)
+            assert np.shares_memory(block, got)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", FACE_KINDS)

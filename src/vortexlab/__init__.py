@@ -60,7 +60,6 @@ from .ball_construction import (
     WeightedBall,
     evolve,
     lower_bound,
-    merge_free_windows,
 )
 from .gl_solver import (
     GLParameters,
@@ -117,7 +116,6 @@ __all__ = [
     "BallTimeline",
     "evolve",
     "lower_bound",
-    "merge_free_windows",
     "GLParameters",
     "MinimizeBudget",
     "MinimizationReport",

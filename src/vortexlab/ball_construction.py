@@ -30,7 +30,6 @@ __all__ = [
     "evolve",
     "merge_cluster",
     "lower_bound",
-    "merge_free_windows",
 ]
 
 _TOUCH_TOL = 1e-12
@@ -256,30 +255,3 @@ def lower_bound(
             total += abs(b.weight)
     return 2.0 * math.pi * alpha * total * math.log((1.0 + t2) / (1.0 + t1))
 
-
-def merge_free_windows(
-    timeline: BallTimeline, t_lo: float, t_hi: float, factor: float
-) -> list[tuple[float, float]]:
-    """Windows [t, t'] with (1+t')/(1+t) = factor and no merge events.
-
-    For each maximal event-free span intersected with [t_lo, t_hi], the
-    earliest window achieving the requested growth factor is returned (one
-    representative per span; spans too short for the factor contribute
-    nothing).
-    """
-    if factor <= 1.0:
-        raise ValueError(f"growth factor must exceed 1, got {factor}")
-    times = sorted({ev.time for ev in timeline.events})
-    cuts = (
-        [t_lo]
-        + [t for t in times if t_lo < t < t_hi]
-        + [min(t_hi, timeline.t_final)]
-    )
-    windows = []
-    for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
-        end = factor * (1.0 + a) - 1.0
-        if end <= b * (1 + 1e-15):
-            windows.append((a, end))
-    return windows

@@ -240,7 +240,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 _MINIMIZE_KEYS = {
     "coefficient", "epsilon", "delta", "domain", "vortices",
-    "cells_per_epsilon", "s", "eta", "relocate", "max_iterations",
+    "cells_per_epsilon", "s", "relocate", "max_iterations",
 }
 
 
@@ -255,7 +255,6 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     s = _number(data, "s", "top level") if "s" in data else None
     if s is not None and not 0.0 < s < 1.0:
         raise ConfigError(f"'s' must lie in (0,1), got {s!r}")
-    eta = _number(data, "eta", "top level") if "eta" in data else None
     relocate = data.get("relocate", False)
     if not isinstance(relocate, bool):
         raise ConfigError("'relocate' must be true or false")
@@ -267,7 +266,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
                           default_grid(domain, epsilon, cells))
     try:
         mu = VortexMeasure(atoms, domain)
-        v0 = recovery_field(mu, params, s=s, eta=eta, relocate_cores=relocate)
+        v0 = recovery_field(mu, params, s=s, relocate_cores=relocate)
     except ValueError as exc:  # atoms outside the domain or not separated
         raise ConfigError(f"vortices: {exc}") from exc
     if args.seed is not None:

@@ -47,6 +47,8 @@ from .solvers import (
     SolverError,
     _chunk_dot,
     _chunk_sum,
+    _face_energy,
+    _face_rhs,
     _face_rows,
     _padded_grid,
     _row_blocks,
@@ -220,7 +222,6 @@ def recovery_field(
     mu: VortexMeasure,
     params: GLParameters,
     s: Optional[float] = None,
-    eta: Optional[float] = None,
     relocate_cores: bool = False,
 ) -> VectorField2D:
     """Near-optimal competitor field carrying the vortex measure mu.
@@ -231,14 +232,11 @@ def recovery_field(
     relocating, else eps), then — for non-constant coefficients — the
     fixed-trace annulus minimizer's phase corrector out to rho_bar, and the
     plain superposition of angle fields beyond.  rho_bar = min(rho, 1/2)
-    with rho a third of the smallest pairwise/boundary distance.  `eta`
-    only selects the minimum-cell level set and is accepted for interface
-    stability (the analytic minimum point is used).
+    with rho a third of the smallest pairwise/boundary distance.
 
     Requires mu to be separated at scale eps and the grid to resolve the
     cores (h <= eps/4).
     """
-    del eta  # analytic minimum point used; see relocated_measure
     grid = params.grid
     eps = params.epsilon
     if grid.h > eps / 4.0 * (1.0 + 1e-12):
@@ -342,58 +340,39 @@ def core_radius_energy(
     """Minimum weighted Dirichlet energy of unit-modulus fields with the
     prescribed degrees, outside the union of eps-disks around the atoms.
 
-    Writing the competitor's phase as (superposition of angle fields) +
-    (single-valued correction) reduces the minimization to one linear
-    solve on the cell-centered grid: n x n square cells over the domain,
-    coefficient sampled at face midpoints, natural boundary conditions,
-    DCT-preconditioned conjugate gradients on the active cells.
+    Geometry.  Writing the competitor's phase as (superposition of angle
+    fields) + (single-valued correction) reduces the minimization to one
+    linear solve on n x n square cells over the domain: coefficient at
+    the face midpoints, natural boundary conditions, every face that
+    touches an inactive cell (inside an eps-disk) weighted 0, face data h
+    times the angle fields' gradient.  b, A phi and the energy are
+    `solvers.FaceOperator`'s row kernels, given per row chunk the weight
+    and face-data rows it reads.  The set-up evaluates the coefficient
+    once per face family; later passes rebuild their weight rows with the
+    same bits (`PeriodicCoefficient.eval_grid`, then the mask), one
+    evaluation per chunk for both b and A phi.
 
-    The operator is `solvers.FaceOperator` with every face that touches an
-    inactive cell (inside an eps-disk) weighted 0; it runs in cache-sized
-    row chunks, threaded on grids of 512^2 cells or more.  The mask is
-    applied by indexing the inactive cells, the few inside the eps-disks.
-    The set-up builds no grid-size coordinate arrays: the coefficient is
-    evaluated once per face family on points built from the 1-d
-    coordinates, and the mask, the face weights' masking and the angle
-    fields' gradient are computed per row chunk (`solvers._row_blocks`)
-    from broadcast 1-d coordinates.  The float64 face weights live only
-    through the set-up, which takes from them the projection's shift, the
-    preconditioner's mean weight and the float32 weights; every later pass
-    that reads float64 weights rebuilds its rows per chunk
-    (`PeriodicCoefficient.eval_grid`, then the mask), with their bits, and
-    applies the operator's row kernel to them (`solvers._face_rows`).
-    Neither the gradient nor the right-hand side b is stored either: b is
-    `FaceOperator.rhs` of the gradient, projected onto mean-zero functions
-    on the active cells, and each residual pass rebuilds its rows per
-    chunk from the gradient and the rebuilt weights, with the arithmetic
-    of `rhs` and of that projection, so one weight evaluation per chunk
-    serves both b and A phi.  The set-up pass that computes the
-    projection's shift stages b's rows in phi, and the first residual,
-    b - A 0 = b, is read from them.  The energy recomputes the gradient
-    and the weights per row chunk too.  The refinement residual is CG's
-    r: `pcg` works in place on its right-hand side.  One row-padded
-    float32 grid is both the inner operator's output and the DCT-II's
-    work buffer, whose result z is that buffer restricted in place; `pcg`
-    reads A p only before the preconditioner runs and z only before the
-    next operator call, so A p, the transforms and z take turns in it.
-    The 2048^2 solve thus holds 1 float64 grid array (phi) and 6 float32
-    ones (the weights, the residual r, CG's x and p, and the shared grid),
-    about 32 bytes per cell, as much as the set-up's peak (the two float64
-    weight arrays beside phi and the float32 weights).
+    Shift.  b is projected onto mean-zero functions on the active cells:
+    the set-up stages b's rows in phi to sum them, the first residual
+    b - A 0 = b is read from there, and later rebuilds of b's rows
+    subtract the mean.
 
-    Precision: the solve is float64 iterative refinement around a float32
-    CG (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Each outer step
-    solves A d = r to `_INNER_RTOL` with `solvers.pcg` entirely in float32
-    (face weights, vectors, and the masked DCT-II preconditioner; its
-    inner products are float64), adds d to phi in float64, and forms the
-    next residual r = b - A phi with float64 weights and arithmetic, in a
-    row pass that also casts r to float32.  The loop stops when the
-    float64 relative residual is at most `rtol`, within 50 n inner
-    iterations in all.  Each float32 iteration moves half the bytes of a
-    float64 one; the scaling rows take 2 outer steps and 23 inner
-    iterations where a float64 CG takes 21, and their energies agree with
-    a float64 CG to 1e-12 relative.  Energy and `SolveInfo` are
-    bit-for-bit the same for every thread count and BLAS setting.
+    Memory.  No grid-size coordinate, gradient or right-hand side array
+    exists, and the float64 weights live only through the set-up.  The
+    2048^2 solve holds phi in float64 and 6 float32 grids (the weights,
+    CG's r, x and p, and one row-padded grid that is A p, the DCT-II's
+    work buffer and z in turn; see `pcg`): about 32 bytes per cell, as
+    much as the set-up's peak (the float64 weights beside phi and the
+    float32 weights).
+
+    Precision.  Float64 iterative refinement around a float32 CG (Carson
+    & Higham, SIAM J. Sci. Comput. 40, 2018): each outer step solves
+    A d = r to `_INNER_RTOL` with `solvers.pcg` in float32 (float64
+    inner products), adds d to phi and forms r = b - A phi in float64,
+    until the float64 relative residual is at most `rtol`, within 50 n
+    inner iterations in all.  The scaling rows' energies agree with a
+    float64 CG to 1e-12 relative.  Energy and `SolveInfo` are the same
+    bits for every thread count and BLAS setting.
 
     Returns (energy, SolveInfo of the refined solve: inner iterations in
     all, final float64 relative residual, outer steps).  Raises
@@ -439,79 +418,59 @@ def core_radius_energy(
         pts[..., 1] = t / delta
         return coeff.eval(pts)
 
-    def x_face_data(f0: int, f1: int) -> np.ndarray:
-        """h times the angle fields' gradient on the x faces f0..f1-1."""
-        g = _superposition_gradient(xf[f0:f1, None], yc, mu.atoms, 0)
-        g *= h
-        return g
-
-    def y_face_data(i0: int, i1: int) -> np.ndarray:
-        """h times the angle fields' gradient on the y faces of rows i0..i1-1."""
-        g = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
-        g *= h
-        return g
-
     wx = face_coefficients(xf, yc)
     wy = face_coefficients(xc, yf)
 
-    def mask_faces(i0: int, i1: int) -> None:
+    def masked(w: np.ndarray, f0: int, f1: int, axis: int) -> np.ndarray:
+        """w, the x faces f0..f1-1 (axis 0) or the y faces of rows f0..f1-1
+        (axis 1), with the faces that touch an inactive cell zeroed."""
+        cells = active[f0:f1 + 1 - axis]
+        if not cells.all():  # a factor of 1.0 leaves every bit as it is
+            w *= (cells[:-1] & cells[1:] if axis == 0
+                  else cells[:, :-1] & cells[:, 1:])
+        return w
+
+    def mask_set_up(i0: int, i1: int) -> None:
         j1 = min(i1, n - 1)
-        wx[i0:j1] *= active[i0:j1] & active[i0 + 1:j1 + 1]
-        wy[i0:i1] *= active[i0:i1, :-1] & active[i0:i1, 1:]
+        masked(wx[i0:j1], i0, j1, 0)
+        masked(wy[i0:i1], i0, i1, 1)
 
-    _row_blocks(active, mask_faces)
+    _row_blocks(active, mask_set_up)
 
-    def x_weights(f0: int, f1: int) -> np.ndarray:
-        """Rows f0..f1-1 of the masked `wx`, rebuilt with its bits."""
-        w = coeff.eval_grid(xf[f0:f1] / delta, yc / delta)
-        rows = active[f0:f1 + 1]
-        if not rows.all():  # a factor of 1.0 leaves every bit as it is
-            w *= rows[:-1] & rows[1:]
-        return w
+    def data_rows(i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
+        """h times the angle fields' gradient on the faces that the row
+        kernels read for rows i0..i1-1 (`solvers._face_rows`)."""
+        gx = _superposition_gradient(xf[max(i0 - 1, 0):min(i1, n - 1), None],
+                                     yc, mu.atoms, 0)
+        gy = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
+        gx *= h
+        gy *= h
+        return gx, gy
 
-    def y_weights(i0: int, i1: int) -> np.ndarray:
-        """Rows i0..i1-1 of the masked `wy`, rebuilt with its bits."""
-        w = coeff.eval_grid(xc[i0:i1] / delta, yf / delta)
-        rows = active[i0:i1]
-        if not rows.all():
-            w *= rows[:, :-1] & rows[:, 1:]
-        return w
-
-    def rhs_rows(i0: int, i1: int, shift: float, wx_rows: np.ndarray,
-                 wy_rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Rows i0..i1-1 of b = `FaceOperator.rhs` of the face data, less
-        `shift`, zeroed on the inactive cells, written into `b`, from the
-        weights of the x faces max(i0 - 1, 0)..min(i1, n - 1) - 1 and of
-        the y faces of the rows: each element takes the operations of
-        `rhs` in its order, so its bits do not depend on the rows asked
-        for."""
-        lo, j1 = max(i0 - 1, 0), min(i1, n - 1)
-        tx = x_face_data(lo, j1)
-        tx *= wx_rows
-        ty = y_face_data(i0, i1)
-        ty *= wy_rows
-        b.fill(0.0)
-        b[:j1 - i0] += tx[i0 - lo:]
-        b[lo + 1 - i0:] -= tx[:i1 - 1 - lo]
-        b[:, :n - 1] += ty
-        b[:, 1:] -= ty
-        b -= shift
+    def staged_rhs(i0: int, i1: int) -> float:
+        """Rows i0..i1-1 of b, zeroed on the inactive cells, into phi; their
+        sum."""
+        b = _face_rhs(i0, i1, phi[i0:i1], wx[max(i0 - 1, 0):min(i1, n - 1)],
+                      wy[i0:i1], None, *data_rows(i0, i1))
         np.copyto(b, 0.0, where=~active[i0:i1])
-        return b
+        return _chunk_sum(b)
 
-    # b projected onto mean-zero functions on the active cells: the mean
-    # of its active cells (summed per row chunk in chunk order) is
-    # subtracted in every rebuild of its rows.  This pass stages b's rows
-    # in phi, and the first residual b - A 0 = b is read from them.
     phi = np.empty((n, n))
-    shift = _row_sum(active, lambda i0, i1: _chunk_sum(rhs_rows(
-        i0, i1, 0.0, wx[max(i0 - 1, 0):min(i1, n - 1)], wy[i0:i1],
-        phi[i0:i1]))) / int(active.sum())
+    shift = _row_sum(active, staged_rhs) / int(active.sum())
     abar = 0.5 * float(wx.mean() + wy.mean()) * n / (n - 1)
     inner_weights = wx.astype(_INNER_DTYPE), wy.astype(_INNER_DTYPE)
     # the float64 weights are not kept: each later pass rebuilds the rows
-    # it reads (`x_weights`, `y_weights`)
+    # it reads
     del wx, wy
+
+    def weight_rows(i0: int, i1: int) -> tuple:
+        """The same faces' weights, with the bits of the masked set-up
+        weights (no face wraps)."""
+        lo, j1 = max(i0 - 1, 0), min(i1, n - 1)
+        return (masked(coeff.eval_grid(xf[lo:j1] / delta, yc / delta), lo, j1, 0),
+                masked(coeff.eval_grid(xc[i0:i1] / delta, yf / delta), i0, i1, 1),
+                None)
+
     # A p, the DCT-II's transforms and z, in turn (see `pcg`)
     work = _padded_grid((n, n), _INNER_DTYPE)
     inner = FaceOperator(*inner_weights, out=work)
@@ -530,10 +489,12 @@ def core_radius_energy(
 
     def residual_rows(i0: int, i1: int) -> float:
         """Rows i0..i1-1 of b - A phi into r; their squared float64 norm."""
-        wx_rows = x_weights(max(i0 - 1, 0), min(i1, n - 1))
-        wy_rows = y_weights(i0, i1)
-        b = rhs_rows(i0, i1, shift, wx_rows, wy_rows, np.empty((i1 - i0, n)))
-        ap = _face_rows(phi, i0, i1, np.empty_like(b), wx_rows, wy_rows)
+        weights = weight_rows(i0, i1)
+        b = _face_rhs(i0, i1, np.empty((i1 - i0, n)), *weights,
+                      *data_rows(i0, i1))
+        b -= shift
+        np.copyto(b, 0.0, where=~active[i0:i1])
+        ap = _face_rows(phi, i0, i1, np.empty_like(b), *weights)
         np.subtract(b, ap, out=ap)
         r[i0:i1] = ap
         return _chunk_dot(ap, ap)
@@ -541,18 +502,8 @@ def core_radius_energy(
     bnorm = math.sqrt(_row_sum(phi, first_residual))
     info = _refine(phi, r, bnorm, lambda: _row_sum(r, residual_rows),
                    inner, precond, rtol=rtol, maxiter=50 * n)
-
-    def energy_rows(i0: int, i1: int) -> float:
-        j1 = min(i1, n - 1)
-        gx, gy = x_face_data(i0, j1), y_face_data(i0, i1)
-        gx += phi[i0 + 1:j1 + 1] - phi[i0:j1]
-        gy += phi[i0:i1, 1:] - phi[i0:i1, :-1]
-        tx, ty = x_weights(i0, j1), y_weights(i0, i1)
-        tx *= gx
-        ty *= gy
-        return _chunk_dot(tx, gx) + _chunk_dot(ty, gy)
-
-    return _row_sum(phi, energy_rows), info
+    return _row_sum(phi, lambda i0, i1: _face_energy(
+        phi, i0, i1, *weight_rows(i0, i1), *data_rows(i0, i1))), info
 
 
 def _refine(phi: np.ndarray, r: np.ndarray, bnorm: float,

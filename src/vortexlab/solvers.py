@@ -6,9 +6,11 @@ rectangular index grid, and this module holds one of each part:
   * `FaceOperator`: the finite-volume operator -div(w grad) of given face
     weights (any mask or geometric factor folded in), with its right-hand
     side and energy.  The face counts per axis set the boundary (periodic
-    or natural), and optional half-cell Dirichlet rows pin axis 0.  The
-    cell corrector, the oscillating annulus and the core-radius proxy all
-    use it.
+    or natural), and optional half-cell Dirichlet rows pin axis 0.  b,
+    A phi and the energy are row kernels that read only their chunk's
+    weight and face-data rows.  The cell corrector, the oscillating
+    annulus and the core-radius proxy all use them; the core-radius proxy
+    stores no weights and rebuilds each chunk's rows.
   * `pcg`: preconditioned CG with an optional projection, on float64 or
     float32 vectors, with float64 inner products (`dot`).  It holds x,
     r and p beside the operator's output Ap and the preconditioner's
@@ -416,6 +418,12 @@ class FaceOperator:
     of phi; its minimizer solves A phi = `rhs(gx, gy)`, and its gradient is
     2 (A phi - b).
 
+    b, A phi and E are row kernels (`_face_rhs`, `_face_rows`,
+    `_face_energy`) run over cache-sized row chunks (`_row_blocks`,
+    `_row_sum`); each kernel reads only the weight and face-data rows of
+    its chunk, so a caller that stores no weights can rebuild those rows
+    per chunk (`gl_solver.core_radius_energy`).
+
     `apply` writes A phi into one output array that every call overwrites:
     `out`, an array of the cell grid's shape in the weights' dtype (it may
     be a row-padded view), or else one allocated here.  A caller may share
@@ -460,48 +468,51 @@ class FaceOperator:
     def _rows(self, phi: np.ndarray) -> Callable[[int, int, np.ndarray], np.ndarray]:
         """The row kernel on this operator's weights: rows(i0, i1, block)
         writes rows i0..i1-1 of A phi into `block` and returns it."""
-        wx, wy, pinned = self.wx, self.wy, self.pinned
-        n0 = self.shape[0]
-        wrap = wx[-1] if len(wx) == n0 else None
+        weights, pinned = self._faces(self.wx, self.wy), self.pinned
 
         def rows(i0: int, i1: int, block: np.ndarray) -> np.ndarray:
-            return _face_rows(phi, i0, i1, block,
-                              wx[max(i0, 1) - 1:min(i1, n0 - 1)], wy[i0:i1],
-                              wrap, pinned)
+            return _face_rows(phi, i0, i1, block, *weights(i0, i1), pinned)
+
+        return rows
+
+    def _faces(self, ax, ay) -> Callable[[int, int], tuple]:
+        """rows(i0, i1): the rows of the face arrays (ax, ay), of the
+        weights' shapes or scalars, that the row kernels read for rows
+        i0..i1-1.  They are the axis-0 faces max(i0, 1) - 1 ..
+        min(i1, n0 - 1) - 1, the axis-1 faces of the rows, and the wrapped
+        axis-0 face of a periodic axis 0 (else None)."""
+        n0 = self.shape[0]
+        ax = np.broadcast_to(ax, self.wx.shape)
+        ay = np.broadcast_to(ay, self.wy.shape)
+        wrap = ax[-1] if len(ax) == n0 else None
+
+        def rows(i0: int, i1: int) -> tuple:
+            return ax[max(i0, 1) - 1:min(i1, n0 - 1)], ay[i0:i1], wrap
 
         return rows
 
     def rhs(self, gx, gy) -> np.ndarray:
         """b with b[i] = t[i] - t[i-1] along each axis, t = w g the flux of
         the face data (arrays of face shape or scalars)."""
-        b = np.zeros(self.shape)
-        for axis, w, g in ((0, self.wx, gx), (1, self.wy, gy)):
-            t = np.moveaxis(w * g, axis, 0)
-            bt = np.moveaxis(b, axis, 0)
-            n = len(bt)
-            bt[:len(t)] += t
-            bt[1:] -= t[:n - 1]
-            if len(t) == n:
-                bt[0] -= t[-1]
+        weights, data = self._faces(self.wx, self.wy), self._faces(gx, gy)
+        b = np.empty(self.shape)
+        _row_blocks(b, lambda i0, i1: _face_rhs(
+            i0, i1, b[i0:i1], *weights(i0, i1), *data(i0, i1)))
         return b
 
     def energy(self, phi: np.ndarray, gx, gy) -> float:
         """sum w (d phi + g)^2 over the faces, plus the pinned faces' term."""
-        dx = _differences(phi, 0, len(self.wx))
-        dy = _differences(phi, 1, self.wy.shape[1])
-        energy = float(np.sum(self.wx * (dx + gx) ** 2)
-                       + np.sum(self.wy * (dy + gy) ** 2))
-        if self.pinned is not None:
-            energy += float(np.sum(self.pinned * phi[[0, -1], :] ** 2))
-        return energy
+        weights, data = self._faces(self.wx, self.wy), self._faces(gx, gy)
+        return _row_sum(phi, lambda i0, i1: _face_energy(
+            phi, i0, i1, *weights(i0, i1), *data(i0, i1), self.pinned))
 
 
 def _face_rows(phi: np.ndarray, i0: int, i1: int, block: np.ndarray,
                wx_rows: np.ndarray, wy_rows: np.ndarray,
                wrap: Optional[np.ndarray] = None,
                pinned: Optional[np.ndarray] = None) -> np.ndarray:
-    """The row kernel of `FaceOperator`: write rows i0..i1-1 of A phi into
-    `block` and return it, given only the weights those rows read.
+    """The A phi row kernel of `FaceOperator`: write rows i0..i1-1 of A phi
+    into `block` and return it, given only the weights those rows read.
 
     `wx_rows` weights the axis-0 faces between rows max(i0, 1) - 1 and
     min(i1, n0 - 1) (faces max(i0, 1) - 1 .. min(i1, n0 - 1) - 1 of
@@ -509,7 +520,8 @@ def _face_rows(phi: np.ndarray, i0: int, i1: int, block: np.ndarray,
     periodic axis 0 passes the weight row of its wrapped face (`wrap`, the
     last row of wx), pinned ends their `pinned` weights.  So a caller that
     does not store the weights can rebuild just these rows per chunk
-    (`gl_solver.core_radius_energy`)."""
+    (`gl_solver.core_radius_energy`); `_face_rhs` and `_face_energy` take
+    the same rows."""
     n0, n1 = phi.shape
     m1 = wy_rows.shape[1]
     # fluxes through faces i0..i1 of axis 0 (face i lies below row i; the
@@ -526,7 +538,7 @@ def _face_rows(phi: np.ndarray, i0: int, i1: int, block: np.ndarray,
         if i1 == n0:
             fx[-1] = wrapped
     np.subtract(fx[:-1], fx[1:], out=block)
-    fy = _differences(phi[i0:i1], 1, m1)
+    fy = _differences(phi[i0:i1], m1)
     fy *= wy_rows
     block[:, :m1] -= fy
     block[:, 1:] += fy[:, :n1 - 1]
@@ -540,18 +552,84 @@ def _face_rows(phi: np.ndarray, i0: int, i1: int, block: np.ndarray,
     return block
 
 
-def _differences(phi: np.ndarray, axis: int, faces: int) -> np.ndarray:
-    """phi[i+1] - phi[i] along `axis` (0 or 1) for i < `faces`; with as many
-    faces as cells the last one wraps, phi[0] - phi[-1]."""
-    n = phi.shape[axis]
-    d = np.empty((faces, phi.shape[1]) if axis == 0 else (len(phi), faces),
-                 phi.dtype)
-    lead = (slice(None),) * axis
-    np.subtract(phi[lead + (slice(1, None),)], phi[lead + (slice(None, -1),)],
-                out=d[lead + (slice(None, n - 1),)])
-    if faces == n:
-        np.subtract(phi[lead + (slice(None, 1),)], phi[lead + (slice(-1, None),)],
-                     out=d[lead + (slice(n - 1, None),)])
+def _face_rhs(i0: int, i1: int, block: np.ndarray,
+              wx_rows: np.ndarray, wy_rows: np.ndarray,
+              wrap: Optional[np.ndarray], gx_rows, gy_rows,
+              g_wrap=None) -> np.ndarray:
+    """The right-hand side row kernel of `FaceOperator`: write rows
+    i0..i1-1 of b into `block` and return it.
+
+    The weights are `_face_rows`' rows, the face data (gx_rows, gy_rows,
+    g_wrap) the same faces' data, arrays of their shape or scalars.  b
+    takes the fluxes t = w g as t[i] - t[i-1] along each axis: each element
+    is zeroed, then takes its axis-0 fluxes (the face above it, then the
+    one below, the wrapped face last on row 0) and its axis-1 fluxes in
+    the same order, so its bits do not depend on the rows asked for."""
+    n1, m1 = block.shape[1], wy_rows.shape[1]
+    lo = max(i0, 1) - 1
+    hi = lo + len(wx_rows)  # min(i1, n0 - 1): i1 is n0 where hi < i1
+    block.fill(0.0)
+    t = wx_rows * gx_rows
+    block[:hi - i0] += t[i0 - lo:]
+    if wrap is not None:
+        t_wrap = wrap * g_wrap
+        if hi < i1:
+            block[-1] += t_wrap
+    block[lo + 1 - i0:] -= t[:i1 - 1 - lo]
+    if wrap is not None and i0 == 0:
+        block[0] -= t_wrap
+    del t  # one flux array at a time
+    t = wy_rows * gy_rows
+    block[:, :m1] += t
+    block[:, 1:] -= t[:, :n1 - 1]
+    if m1 == n1:
+        block[:, 0] -= t[:, -1]
+    return block
+
+
+def _face_energy(phi: np.ndarray, i0: int, i1: int,
+                 wx_rows: np.ndarray, wy_rows: np.ndarray,
+                 wrap: Optional[np.ndarray], gx_rows, gy_rows, g_wrap=None,
+                 pinned: Optional[np.ndarray] = None) -> float:
+    """The energy row kernel of `FaceOperator`: the float64 partial
+    sum w (d phi + g)^2 over the faces that rows i0..i1-1 own, given
+    `_face_rhs`' weights and face data (and `_face_rows`' `pinned`).
+
+    Rows i0..i1-1 own their axis-1 faces and the axis-0 faces above them,
+    the wrapped one included (so the face below row i0 > 0 in `wx_rows`
+    is skipped), and the pinned faces of the end rows among them.  Each
+    family adds t . e in float64 (`_chunk_dot`), e = d phi + g and
+    t = w e, so the partials depend on the chunk rows alone."""
+    n0 = phi.shape[0]
+    skip = min(i0, 1)
+    hi = min(i1, n0 - 1)
+
+    def faces(w, d, g) -> float:
+        d += g
+        return _chunk_dot(w * d, d)
+
+    energy = (faces(wx_rows[skip:], phi[i0 + 1:hi + 1] - phi[i0:hi],
+                    np.broadcast_to(gx_rows, wx_rows.shape)[skip:])
+              + faces(wy_rows, _differences(phi[i0:i1], wy_rows.shape[1]),
+                      gy_rows))
+    if wrap is not None and i1 == n0:
+        energy += faces(wrap, phi[0] - phi[-1], g_wrap)
+    if pinned is not None:
+        if i0 == 0:
+            energy += _chunk_dot(pinned[0] * phi[0], phi[0])
+        if i1 == n0:
+            energy += _chunk_dot(pinned[1] * phi[-1], phi[-1])
+    return energy
+
+
+def _differences(phi: np.ndarray, faces: int) -> np.ndarray:
+    """phi[:, j+1] - phi[:, j] along axis 1 for j < `faces`; with as many
+    faces as columns the last one wraps, phi[:, 0] - phi[:, -1]."""
+    n1 = phi.shape[1]
+    d = np.empty((len(phi), faces), phi.dtype)
+    np.subtract(phi[:, 1:], phi[:, :-1], out=d[:, :n1 - 1])
+    if faces == n1:
+        np.subtract(phi[:, :1], phi[:, -1:], out=d[:, n1 - 1:])
     return d
 
 

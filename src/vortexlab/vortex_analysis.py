@@ -30,7 +30,6 @@ __all__ = [
     "DegreeResult",
     "FlatDistanceResult",
     "jacobian",
-    "modified_jacobian",
     "degree",
     "boundary_degree",
     "detect_vortices",
@@ -164,25 +163,6 @@ def jacobian(v: VectorField2D) -> ScalarField2D:
     dy = 0.5 * (w[:-1, 1:] - w[:-1, :-1] + w[1:, 1:] - w[1:, :-1]) / h
     det = dx[..., 0] * dy[..., 1] - dx[..., 1] * dy[..., 0]
     return ScalarField2D(_plaquette_grid(v.grid), det)
-
-
-def modified_jacobian(
-    v: VectorField2D, zeta: float
-) -> tuple[ScalarField2D, list[tuple[int, int]]]:
-    """Jacobian of the modulus-truncated field min(|v|/zeta, 1) * v/|v|.
-
-    Returns the plaquette field together with the list of nodes where
-    |v| = 0 (there the truncated field is set to zero and the caller
-    decides whether to exclude the surrounding plaquettes).
-    """
-    if not (0.0 < zeta < 1.0):
-        raise ValueError(f"zeta must lie in (0,1), got {zeta}")
-    mod = np.hypot(v.values[..., 0], v.values[..., 1])
-    singular = [tuple(ix) for ix in np.argwhere(mod == 0.0)]
-    safe = np.where(mod > 0.0, mod, 1.0)
-    scale = np.where(mod > 0.0, np.minimum(mod / zeta, 1.0) / safe, 0.0)
-    truncated = VectorField2D(v.grid, v.values * scale[..., None])
-    return jacobian(truncated), singular
 
 
 # -- winding numbers -------------------------------------------------------------

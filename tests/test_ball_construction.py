@@ -14,7 +14,6 @@ from vortexlab.ball_construction import (
     evolve,
     lower_bound,
     merge_cluster,
-    merge_free_windows,
 )
 
 
@@ -172,25 +171,6 @@ def test_lower_bound_matches_annulus_formula():
     assert lower_bound(tl, 1.7, 1.0, 3.0, tiny) == 0.0
     with pytest.raises(ValueError):
         lower_bound(tl, 1.7, 3.0, 1.0, u)
-
-
-def test_merge_free_windows_avoid_events():
-    b1 = WeightedBall((0.0, 0.0), 0.1, 1)
-    b2 = WeightedBall((1.0, 0.0), 0.1, 1)
-    tl = evolve([b1, b2], 10.0)  # single event at t = 4
-    wins = merge_free_windows(tl, 0.0, 10.0, 1.5)
-    assert len(wins) == 2
-    a, b = wins[0]
-    assert (a, b) == (pytest.approx(0.0), pytest.approx(0.5))
-    a, b = wins[1]
-    assert (a, b) == (pytest.approx(4.0), pytest.approx(6.5))
-    for a, b in wins:
-        assert (1.0 + b) / (1.0 + a) == pytest.approx(1.5)
-        assert not any(a < ev.time < b for ev in tl.events)
-    # growth factor too large for any event-free span
-    assert merge_free_windows(tl, 0.0, 10.0, 100.0) == []
-    with pytest.raises(ValueError):
-        merge_free_windows(tl, 0.0, 10.0, 1.0)
 
 
 def test_events_csv_export(tmp_path):

@@ -264,7 +264,7 @@ def test_minimize_strict_config_exits_2(tmp_path, capsys):
         ({"cells_per_epsilon": 4.0}, "'cells_per_epsilon' must be an integer >= 4"),
         ({"s": 1.5}, "'s' must lie in (0,1)"),
         ({"s": "0.5"}, "'s' at top level must be a number"),
-        ({"eta": [0.5]}, "'eta' at top level must be a number"),
+        ({"eta": 0.5}, "unknown key 'eta' at top level"),
         ({"relocate": "yes"}, "'relocate' must be true or false"),
         ({"max_iterations": 0}, "'max_iterations' must be an integer >= 1"),
         ({"max_iterations": "3"}, "'max_iterations' must be an integer >= 1"),

@@ -851,28 +851,83 @@ def _dense_face_matrix(wx, wy, pinned, shape):
     return a
 
 
+def _whole_grid_rhs(wx, wy, gx, gy, shape):
+    """b formed on whole grids, axis by axis, the reference for the bits of
+    the right-hand side kernel."""
+    b = np.zeros(shape)
+    for axis, w, g in ((0, wx, gx), (1, wy, gy)):
+        t = np.moveaxis(w * g, axis, 0)
+        bt = np.moveaxis(b, axis, 0)
+        n = len(bt)
+        bt[:len(t)] += t
+        bt[1:] -= t[:n - 1]
+        if len(t) == n:
+            bt[0] -= t[-1]
+    return b
+
+
+def _whole_grid_energy(wx, wy, pinned, phi, gx, gy):
+    """sum w (d phi + g)^2 on whole grids (the wrapped differences by roll)."""
+    dx = (np.roll(phi, -1, axis=0) - phi)[:len(wx)]
+    dy = (np.roll(phi, -1, axis=1) - phi)[:, :wy.shape[1]]
+    energy = float(np.sum(wx * (dx + gx) ** 2) + np.sum(wy * (dy + gy) ** 2))
+    if pinned is not None:
+        energy += float(np.sum(pinned * phi[[0, -1]] ** 2))
+    return energy
+
+
 @pytest.mark.parametrize("kind", FACE_KINDS)
-def test_face_rows_from_weight_rows_give_the_operator_bits(kind):
+def test_face_rows_from_weight_rows_give_the_operator_bits(monkeypatch, kind):
     # a caller that keeps no weights (the core-radius residual and energy)
-    # passes each chunk only the weight rows it reads, as copies
+    # passes each chunk only the weight and face-data rows it reads, as copies
     shape = (60, 52)
     rng = np.random.default_rng(22)
     wx, wy, pinned = _face_case(kind, shape, rng)
+    gx = rng.standard_normal(wx.shape)
+    gy = rng.standard_normal(wy.shape)
     op = solvers.FaceOperator(wx, wy, pinned)
     phi = rng.standard_normal(shape)
     want = op.apply(phi).copy()
     n0 = shape[0]
     wrap = wx[-1].copy() if len(wx) == n0 else None
+    g_wrap = gx[-1].copy() if len(wx) == n0 else None
     for step in (1, 7, n0):
-        got = np.empty(shape)
+        # the operator's own chunks have `step` rows, so that its energy
+        # adds the same partials in the same order
+        monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", step * shape[1])
+        assert solvers._chunk_rows(phi) == step
+        got, b = np.empty(shape), np.empty(shape)
+        energy = 0.0
         for i0 in range(0, n0, step):
             i1 = min(i0 + step, n0)
-            block = solvers._face_rows(
-                phi, i0, i1, got[i0:i1],
-                wx[max(i0, 1) - 1:min(i1, n0 - 1)].copy(), wy[i0:i1].copy(),
-                wrap, pinned)
+            x = slice(max(i0, 1) - 1, min(i1, n0 - 1))
+            weights = wx[x].copy(), wy[i0:i1].copy(), wrap
+            data = gx[x].copy(), gy[i0:i1].copy(), g_wrap
+            block = solvers._face_rows(phi, i0, i1, got[i0:i1], *weights,
+                                       pinned)
             assert np.shares_memory(block, got)
+            block = solvers._face_rhs(i0, i1, b[i0:i1], *weights, *data)
+            assert np.shares_memory(block, b)
+            energy += solvers._face_energy(phi, i0, i1, *weights, *data, pinned)
         assert np.array_equal(got, want)
+        assert np.array_equal(b, op.rhs(gx, gy))
+        assert energy == op.energy(phi, gx, gy)
+    # b keeps the bits, signed zeros included, of the whole-grid arithmetic;
+    # the energy sums in another order, so it agrees to summation rounding
+    assert b.tobytes() == _whole_grid_rhs(wx, wy, gx, gy, shape).tobytes()
+    assert energy == pytest.approx(
+        _whole_grid_energy(wx, wy, pinned, phi, gx, gy),
+        rel=(wx.size + wy.size) * np.finfo(float).eps)
+    # scalar face data are taken as constant arrays, with the same bits, by
+    # the operator and by the kernels (here on one chunk, as the operator's)
+    gx, gy = np.full(wx.shape, 0.25), np.full(wy.shape, -1.5)
+    assert np.array_equal(op.rhs(0.25, -1.5), op.rhs(gx, gy))
+    assert op.energy(phi, 0.25, -1.5) == op.energy(phi, gx, gy)
+    weights = wx[:n0 - 1], wy, wrap
+    assert np.array_equal(solvers._face_rhs(0, n0, np.empty(shape), *weights,
+                                            0.25, -1.5, 0.25), op.rhs(gx, gy))
+    assert solvers._face_energy(phi, 0, n0, *weights, 0.25, -1.5, 0.25,
+                                pinned) == op.energy(phi, gx, gy)
 
 
 @pytest.mark.parametrize("kind", FACE_KINDS)
@@ -918,9 +973,15 @@ def test_face_operator_threads_are_bit_identical(monkeypatch, kind):
     assert shape[0] * shape[1] >= solvers._THREADED_MIN_SIZE
     rng = np.random.default_rng(23)
     wx, wy, pinned = _face_case(kind, shape, rng)
+    gx = rng.standard_normal(wx.shape)
+    gy = rng.standard_normal(wy.shape)
     phi = rng.standard_normal(shape)
     results = {}
     for workers in (2, 1):
         monkeypatch.setattr(solvers, "_WORKERS", workers)
-        results[workers] = solvers.FaceOperator(wx, wy, pinned).apply(phi).copy()
-    assert np.array_equal(results[2], results[1])
+        op = solvers.FaceOperator(wx, wy, pinned)
+        results[workers] = (op.apply(phi).copy(), op.rhs(gx, gy),
+                            op.energy(phi, gx, gy))
+    assert np.array_equal(results[2][0], results[1][0])
+    assert np.array_equal(results[2][1], results[1][1])
+    assert results[2][2] == results[1][2]

@@ -16,7 +16,6 @@ from vortexlab.vortex_analysis import (
     detect_vortices,
     flat_distance,
     jacobian,
-    modified_jacobian,
 )
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
@@ -137,25 +136,6 @@ def test_jacobian_of_identity_map():
     v = VectorField2D(grid, np.stack([xx - 0.3, yy - 0.6], axis=-1))
     j = jacobian(v)
     assert np.allclose(j.values, 1.0, atol=1e-12)
-
-
-def test_modified_jacobian_truncates_modulus():
-    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
-
-    def ramp(xx, yy):
-        r = np.hypot(xx - 0.5, yy - 0.5)
-        return np.minimum(r / 0.1, 1.0)
-
-    v = _phase_field(grid, (((0.5, 0.5), 1),), modulus=ramp)
-    field, singular = modified_jacobian(v, 0.5)
-    # truncation renormalizes the small-modulus core; total mass near pi z
-    # (trapezoid quadrature of the nodal density)
-    w = np.full(field.grid.node_shape[0], field.grid.h)
-    w[[0, -1]] *= 0.5
-    total = float(w @ field.values @ w)
-    assert total == pytest.approx(math.pi, rel=0.1)
-    # the modulus vanishes exactly at the centre node, which is reported
-    assert [tuple(map(int, s)) for s in singular] == [(32, 32)]
 
 
 # -- detection ---------------------------------------------------------------------

@@ -173,6 +173,22 @@ def test_lower_bound_matches_annulus_formula():
         lower_bound(tl, 1.7, 3.0, 1.0, u)
 
 
+def test_lower_bound_counts_the_family_after_a_merge():
+    # weights 1 and -2 merge at t = 4 into weight -1: an event-free window
+    # before the merge counts |1| + |-2|, one after it only |-1|
+    b1 = WeightedBall((0.0, 0.0), 0.1, 1)
+    b2 = WeightedBall((1.0, 0.0), 0.1, -2)
+    tl = evolve([b1, b2], 10.0)
+    assert [ev.time for ev in tl.events] == [pytest.approx(4.0)]
+    u = Rectangle((-5.0, -5.0), (10.0, 10.0))
+    unit = 2.0 * math.pi * 1.7 * math.log(1.5)
+    assert lower_bound(tl, 1.7, 0.0, 0.5, u) == pytest.approx(3 * unit)
+    assert lower_bound(tl, 1.7, 4.0, 6.5, u) == pytest.approx(1 * unit)
+    # a window across the merge counts the family at its end
+    assert lower_bound(tl, 1.7, 3.0, 5.0, u) == pytest.approx(
+        2.0 * math.pi * 1.7 * math.log(6.0 / 4.0))
+
+
 def test_events_csv_export(tmp_path):
     b1 = WeightedBall((0.0, 0.0), 0.1, 1)
     b2 = WeightedBall((1.0, 0.0), 0.1, -2)

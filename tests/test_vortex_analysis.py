@@ -138,6 +138,24 @@ def test_jacobian_of_identity_map():
     assert np.allclose(j.values, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("z", [1, -1, 2])
+def test_jacobian_of_a_vortex_has_mass_pi_times_its_degree(z):
+    # v = rho(r) e^{i z theta} has det grad v = z rho rho' / r, whose
+    # integral is pi z rho(R)^2 = pi z once rho reaches 1; the mass sits in
+    # the core where rho < 1
+    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
+    v = _phase_field(grid, (((0.5, 0.5), z),),
+                     modulus=lambda x, y: np.minimum(
+                         np.hypot(x - 0.5, y - 0.5) / 0.1, 1.0))
+    j = jacobian(v)
+    h2 = grid.h ** 2
+    assert float(j.values.sum()) * h2 == pytest.approx(math.pi * z, rel=1e-2)
+    px, py = j.grid.node_mesh()
+    core = np.hypot(px - 0.5, py - 0.5) <= 0.15
+    assert float(j.values[core].sum()) * h2 == pytest.approx(math.pi * z,
+                                                             rel=1e-2)
+
+
 # -- detection ---------------------------------------------------------------------
 
 

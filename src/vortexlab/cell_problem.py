@@ -197,8 +197,8 @@ def _extrapolate(values: list[float], ns: list[int]) -> tuple[float, float | Non
 
     Returns (extrapolated, observed order or None, warning).  Geometric
     grid sequences are assumed; with only two values a first-order defect
-    is assumed.  A converged or non-monotone tail returns the last value,
-    the latter with a warning.
+    is assumed, at the grid ratio of the two.  A converged or non-monotone
+    tail returns the last value, the latter with a warning.
     """
     if len(values) >= 3:
         v1, v2, v3 = values[-3], values[-2], values[-1]
@@ -212,7 +212,7 @@ def _extrapolate(values: list[float], ns: list[int]) -> tuple[float, float | Non
         p = math.log(abs(d1) / abs(d2)) / math.log(ratio)
         return v3 + d2 / (ratio**p - 1.0), p, False
     v1, v2 = values[-2], values[-1]
-    return v2 + (v2 - v1), None, False
+    return v2 + (v2 - v1) / (ns[-1] / ns[-2] - 1.0), None, False
 
 
 def refine_tensor(

@@ -210,17 +210,12 @@ def _cmd_psi(args: argparse.Namespace) -> int:
             kwargs["tensor"] = homogenized_tensor(
                 coefficient_from_spec(data["coefficient"]), n=n)
 
-    estimates = {}
-    for k in sorted({abs(z) for z in z_values}):
-        estimates[k] = psi_of_z(k, ratios, **kwargs)
+    # the splitting search for z needs every cost up to |z|
+    estimates = {k: psi_of_z(k, ratios, **kwargs)
+                 for k in range(1, max(abs(z) for z in z_values) + 1)}
     table = {k: est.value for k, est in estimates.items()}
     capitals = {}
     for z in z_values:
-        # splitting search may need costs up to |z| even if only z requested
-        for k in range(1, abs(z) + 1):
-            if k not in table:
-                estimates[k] = psi_of_z(k, ratios, **kwargs)
-                table[k] = estimates[k].value
         value, split = capital_psi(table, z)
         capitals[z] = {"value": value, "splitting": list(split)}
 
@@ -229,8 +224,8 @@ def _cmd_psi(args: argparse.Namespace) -> int:
         "capital_psi": {str(z): info for z, info in capitals.items()},
     }
     path = _write_json(payload, args.out, "psi.json")
-    for k in sorted(estimates):
-        print(f"psi({k}) = {estimates[k].value:.7f}")
+    for k, est in estimates.items():
+        print(f"psi({k}) = {est.value:.7f}")
     for z in z_values:
         info = capitals[z]
         print(f"Psi({z}) = {info['value']:.7f} splitting={info['splitting']}")
@@ -351,7 +346,7 @@ def _cmd_balls(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
-    result = run_scaling_study(config, threads=args.threads, seed=args.seed)
+    result = run_scaling_study(config, seed=args.seed)
     csv_path, json_path = emit_report(result.rows, result.summary, args.out)
     for row in result.rows:
         status = row.flag if row.flag else f"rel_gap={row.rel_gap:+.4f}"
@@ -414,8 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--seed", type=int, default=None,
                        help="seed for minimizer initialization perturbations")
-    scaling.add_argument("--threads", type=int, default=1,
-                         help="worker threads for independent rows")
     flat = sub.add_parser("flat", help="flat distance between two measure CSVs")
     flat.add_argument("first", help="CSV of the first measure (x,y,charge)")
     flat.add_argument("second", help="CSV of the second measure")

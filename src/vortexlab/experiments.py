@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -388,6 +387,8 @@ def parse_config(path: str) -> ExperimentConfig:
         )
 
     solver = data.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ConfigError("solver must be an object")
     _require_keys(
         solver,
         {"cells_per_epsilon", "tensor_resolution", "rtol", "max_iterations"},
@@ -403,6 +404,9 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"'rtol' at solver must lie in (0,1), got {rtol!r}")
     max_iterations = _integer_at_least(solver.get("max_iterations", 2000), 1,
                                        "'max_iterations' at solver")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ConfigError(f"'label' must be a string, got {label!r}")
 
     config = ExperimentConfig(
         coefficient=coeff,
@@ -416,7 +420,7 @@ def parse_config(path: str) -> ExperimentConfig:
         tensor_resolution=tensor_n,
         rtol=rtol,
         max_iterations=max_iterations,
-        label=str(data.get("label", "")),
+        label=label,
     )
     try:
         config.measure()  # validates atom placement inside the domain
@@ -513,14 +517,13 @@ def _measure_one(
 
 def run_scaling_study(
     config: ExperimentConfig,
-    threads: int = 1,
     seed: Optional[int] = None,
 ) -> StudyResult:
     """Measure every epsilon in the schedule and assemble the summary.
 
-    Rows are independent and scheduled across `threads` workers; the
-    homogenized tensor is solved once up front and shared.  A failed row
-    is flagged and the study continues.  The summary's `solves` lists,
+    Rows run in schedule order; the homogenized tensor is solved once up
+    front and shared.  Parallelism lives inside the solvers only.  A failed
+    row is flagged and the study continues.  The summary's `solves` lists,
     per epsilon, what the row's solve reported.
     """
     t_start = time.perf_counter()
@@ -529,22 +532,14 @@ def run_scaling_study(
     )
     tensor_time = time.perf_counter() - t_start
 
-    def job(epsilon: float) -> tuple[ScalingRow, Optional[dict[str, Any]], float]:
+    rows, timings, solves = [], {}, []
+    for epsilon in config.epsilons:
         t0 = time.perf_counter()
         row, solve = _measure_one(config, tensor, epsilon, seed)
-        return row, solve, time.perf_counter() - t0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, config.epsilons))
-    else:
-        outcomes = [job(eps) for eps in config.epsilons]
-    outcomes.sort(key=lambda o: -o[0].epsilon)
-
-    rows = [row for row, _, _ in outcomes]
-    timings = {f"{row.epsilon:.10g}": dt for row, _, dt in outcomes}
-    solves = [{"epsilon": row.epsilon, **solve}
-              for row, solve, _ in outcomes if solve is not None]
+        timings[f"{epsilon:.10g}"] = time.perf_counter() - t0
+        rows.append(row)
+        if solve is not None:
+            solves.append({"epsilon": epsilon, **solve})
 
     clean = [r for r in rows if not r.flag]
     slope = None
@@ -561,7 +556,6 @@ def run_scaling_study(
         "rows_flagged": sum(1 for r in rows if r.flag),
         "solves": solves,
         "seed": seed,
-        "threads": threads,
         "versions": {
             "vortexlab": __version__,
             "numpy": np.__version__,

@@ -136,9 +136,10 @@ _WORKERS = _affinity_count()
 _THREADED_MIN_SIZE = 512 * 512
 
 
-def _workers(a: np.ndarray) -> int:
-    """Thread count for the transforms and elementwise work on `a`."""
-    return _WORKERS if a.size >= _THREADED_MIN_SIZE else 1
+def _workers(a: np.ndarray, min_size: int = _THREADED_MIN_SIZE) -> int:
+    """Thread count for work on `a`: `_WORKERS` from `min_size` elements
+    on, the transforms' and elementwise work's threshold by default."""
+    return _WORKERS if a.size >= min_size else 1
 
 
 # Elements per chunk of elementwise work: a chunk's operands and temporaries
@@ -175,22 +176,24 @@ def _chunk_rows(a: np.ndarray) -> int:
     return max(1, _CHUNK_ELEMENTS * a.shape[0] // max(a.size, 1))
 
 
-def _row_blocks(a: np.ndarray, fn: Callable[[int, int], object]) -> list:
+def _row_blocks(a: np.ndarray, fn: Callable[[int, int], object],
+                min_size: int = _THREADED_MIN_SIZE) -> list:
     """Run fn(i0, i1) over the row chunks [i0, i1) of axis 0 of `a`, which
     cover it exactly once, and return fn's results in chunk order.
 
     The chunks depend on the shape of `a` alone: chunk k holds rows
     k s .. (k + 1) s - 1, s rows of at most `_CHUNK_ELEMENTS` elements (one
     row at least).  `fn` must only touch rows i0..i1-1 of its outputs.
-    Arrays of 512^2 points or more hand one contiguous run of chunks to
-    each worker (`_WORKERS`, read at call time); the caller runs the first
-    run and a shared pool the others.  Smaller arrays run inline on the
-    calling thread.  `fn` runs on pool threads, so it must never call
-    `_row_blocks` itself: a pool task waiting on the pool can deadlock.
+    Arrays of `min_size` points or more (512^2 by default) hand one
+    contiguous run of chunks to each worker (`_WORKERS`, read at call
+    time); the caller runs the first run and a shared pool the others.
+    Smaller arrays run inline on the calling thread.  `fn` runs on pool
+    threads, so it must never call `_row_blocks` itself: a pool task
+    waiting on the pool can deadlock.
     """
     rows, step = a.shape[0], _chunk_rows(a)
     count = -(-rows // step)
-    workers = min(_workers(a), count)
+    workers = min(_workers(a, min_size), count)
     if workers <= 1:
         return [fn(i0, min(i0 + step, rows)) for i0 in range(0, rows, step)]
     results: list = [None] * count
@@ -212,11 +215,12 @@ def _row_blocks(a: np.ndarray, fn: Callable[[int, int], object]) -> list:
     return results
 
 
-def _row_sum(a: np.ndarray, fn: Callable[[int, int], float]) -> float:
+def _row_sum(a: np.ndarray, fn: Callable[[int, int], float],
+             min_size: int = _THREADED_MIN_SIZE) -> float:
     """The sum of the float partials fn(i0, i1) over `_row_blocks`' chunks
     of `a`, added in chunk order: the same bits for every thread count."""
     total = 0.0
-    for part in _row_blocks(a, fn):
+    for part in _row_blocks(a, fn, min_size):
         total += part
     return total
 
@@ -240,19 +244,15 @@ def _chunk_sum(u: np.ndarray) -> float:
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> float:
-    """u . v in float64 over the fixed row chunks of u (`_row_sum`; arrays
-    of more than two axes are taken as rows of their last axis): the same
-    bits for every `_WORKERS`, core count and BLAS thread count, which
-    `np.vdot` does not give."""
+    """u . v in float64 over the fixed row chunks of u (`_row_sum`, threaded
+    from `_DOT_THREADED_MIN_SIZE` elements; arrays of more than two axes
+    are taken as rows of their last axis): the same bits for every
+    `_WORKERS`, core count and BLAS thread count, which `np.vdot` does not
+    give."""
     if u.ndim > 2:
         u, v = u.reshape(-1, u.shape[-1]), v.reshape(-1, v.shape[-1])
-    if u.size >= _DOT_THREADED_MIN_SIZE:
-        return _row_sum(u, lambda i0, i1: _chunk_dot(u[i0:i1], v[i0:i1]))
-    # the same chunks and order, inline
-    step, total = _chunk_rows(u), 0.0
-    for i0 in range(0, len(u), step):
-        total += _chunk_dot(u[i0:i0 + step], v[i0:i0 + step])
-    return total
+    return _row_sum(u, lambda i0, i1: _chunk_dot(u[i0:i1], v[i0:i1]),
+                    _DOT_THREADED_MIN_SIZE)
 
 
 class SolverError(RuntimeError):

@@ -269,7 +269,7 @@ def boundary_degree(v: VectorField2D) -> DegreeResult:
     return DegreeResult(value, abs(winding - value))
 
 
-def detect_vortices(v: VectorField2D, zeta: float = 0.5) -> VortexMeasure:
+def detect_vortices(v: VectorField2D) -> VortexMeasure:
     """Locate vortices by per-plaquette winding of v/|v|.
 
     Each plaquette sums its four nearest-branch edge angle increments; the
@@ -278,9 +278,8 @@ def detect_vortices(v: VectorField2D, zeta: float = 0.5) -> VortexMeasure:
     cluster yields one atom at its |winding|-weighted centroid with the
     cluster's total winding as charge (clusters cancelling to zero are
     dropped).  Winding only sees the phase, so detection is invariant
-    under positive modulus rescaling; `zeta` is the modulus level below
-    which a node is reported as degenerate (exact zeros break the phase
-    and are flagged with a warning).
+    under positive modulus rescaling.  Nodes where |v| is exactly 0 have
+    no phase; their count is reported in a warning.
     """
     if not isinstance(v.grid, CartesianGrid):
         raise ValueError("vortex detection requires a Cartesian grid")
@@ -289,8 +288,8 @@ def detect_vortices(v: VectorField2D, zeta: float = 0.5) -> VortexMeasure:
     n_zero = int(np.count_nonzero(mod == 0.0))
     if n_zero:
         warnings.warn(
-            f"{n_zero} nodes have |v| = 0 (below zeta={zeta}); their phase "
-            "is undefined and nearby windings may be unreliable",
+            f"{n_zero} nodes have |v| = 0; their phase is undefined and "
+            "nearby windings may be unreliable",
             stacklevel=2,
         )
     ang = np.arctan2(w[..., 1], w[..., 0])

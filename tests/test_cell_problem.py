@@ -8,6 +8,7 @@ import pytest
 
 from vortexlab.cell_problem import (
     HomogenizedTensor,
+    _extrapolate,
     homogenized_tensor,
     refine_tensor,
     solve_corrector,
@@ -63,6 +64,15 @@ def test_checkerboard_richardson_extrapolation():
     assert len(ref.table) == 3
     assert ref.orders["a11"] is not None and ref.orders["a11"] > 0.5
     assert not ref.warning
+
+
+@pytest.mark.parametrize("ns", [[64, 128], [64, 256]], ids=["ratio2", "ratio4"])
+def test_two_value_extrapolation_is_exact_on_first_order_defects(ns):
+    # A + C/n loses its defect at any grid ratio, not only at 2
+    values = [2.0 + 5.0 / n for n in ns]
+    value, order, warn = _extrapolate(values, ns)
+    assert value == pytest.approx(2.0, abs=1e-15)
+    assert order is None and not warn
 
 
 def test_smooth_coefficient_reference_value():

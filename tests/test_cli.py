@@ -318,10 +318,12 @@ def test_balls_strict_config_exits_2(tmp_path, capsys):
     ["minimize", "--threads", "2"],
     ["balls", "--seed", "1"],
     ["flat", "a.csv", "b.csv", "--threads", "2"],
+    ["scaling", "--threads", "2"],
 ], ids=["cell-threads", "psi-seed", "minimize-threads", "balls-seed",
-        "flat-threads"])
+        "flat-threads", "scaling-threads"])
 def test_flags_only_where_they_act(argv, tmp_path, capsys):
-    # --threads is read by scaling only, --seed by minimize and scaling
+    # --seed is read by minimize and scaling only; no command takes
+    # --threads, since the solvers size their own threads
     cfg = _config(tmp_path, {})
     with pytest.raises(SystemExit) as err:
         cli.main(argv + ["--config", cfg])
@@ -426,11 +428,9 @@ def test_scaling_bad_coefficient_numbers_exit_2(tmp_path, capsys, coefficient,
     assert re.search(message, err)
 
 
-def test_scaling_csv_identical_across_threads_at_threaded_size(tmp_path,
-                                                               monkeypatch):
-    # the finest row is 512^2, so the row pool runs nested over the
-    # solver's threaded transforms and elementwise work
-    monkeypatch.setattr(solvers, "_WORKERS", 2)
+def test_scaling_csv_identical_across_solver_threads(tmp_path, monkeypatch):
+    # the finest row is 512^2, so the solver's transforms and elementwise
+    # work run threaded when it has two workers
     assert 512 * 512 >= solvers._THREADED_MIN_SIZE
     cfg = _config(tmp_path, {
         "coefficient": {"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
@@ -440,10 +440,10 @@ def test_scaling_csv_identical_across_threads_at_threaded_size(tmp_path,
         "solver": {"tensor_resolution": 32},
     })
     outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        assert cli.main(["scaling", "--config", cfg, "--out", str(out),
-                         "--threads", threads]) == 0
+    for workers in (1, 2):
+        monkeypatch.setattr(solvers, "_WORKERS", workers)
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(["scaling", "--config", cfg, "--out", str(out)]) == 0
         outputs.append((out / "scaling.csv").read_bytes())
     assert outputs[0].count(b"\n") == 4
     assert outputs[0] == outputs[1]

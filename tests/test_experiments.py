@@ -85,6 +85,13 @@ def test_parse_config_error_locations(tmp_path):
         parse_config(_write_config(tmp_path, json.dumps(data)))
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config(str(tmp_path / "missing.json"))
+    for solver in (5, None, "fast", [1]):
+        with pytest.raises(ConfigError, match="solver must be an object"):
+            parse_config(_minimal(tmp_path, solver=solver))
+    for label in ({"a": 1}, 3, None):
+        with pytest.raises(ConfigError, match="'label' must be a string"):
+            parse_config(_minimal(tmp_path, label=label))
+    assert parse_config(_minimal(tmp_path, label="run 1")).label == "run 1"
 
 
 def test_parse_config_rejects_bad_schedules(tmp_path):
@@ -206,15 +213,6 @@ def test_non_converged_descents_are_flagged(tmp_path):
                     channel="gl_minimize", epsilons={"k_min": 4, "k_max": 4})
     (row,) = run_scaling_study(parse_config(path)).rows
     assert row.flag == ""
-
-
-def test_threads_do_not_change_results(tmp_path):
-    path = _minimal(tmp_path, solver={"tensor_resolution": 32},
-                    epsilons={"k_min": 4, "k_max": 6})
-    config = parse_config(path)
-    serial = run_scaling_study(config, threads=1)
-    threaded = run_scaling_study(config, threads=3)
-    assert [r.energy for r in serial.rows] == [r.energy for r in threaded.rows]
 
 
 # -- reports --------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .experiments import (
     _is_integer,
     _is_number,
     _number,
+    _perturbed_start,
     _positive,
     _read_config,
     _require_keys,
@@ -164,10 +165,11 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     ratios = data.get("ratios", [10.0, 30.0, 100.0])
     if not (
         isinstance(ratios, list) and len(ratios) >= 3
-        and all(_is_number(r) for r in ratios) and ratios[0] > 1.0
-        and all(b > a for a, b in zip(ratios, ratios[1:]))
+        and all(_is_number(r) and math.isfinite(r) for r in ratios)
+        and ratios[0] > 1.0 and all(b > a for a, b in zip(ratios, ratios[1:]))
     ):
-        raise ConfigError("'ratios' must be three or more increasing numbers > 1")
+        raise ConfigError(
+            "'ratios' must be three or more finite, increasing numbers > 1")
     fixed_trace = data.get("fixed_trace", False)
     if not isinstance(fixed_trace, bool):
         raise ConfigError("'fixed_trace' must be true or false")
@@ -257,19 +259,18 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
                                        "'max_iterations'")
     domain = _domain_from_spec(data.get("domain"))
     atoms = _atoms_from_spec(data["vortices"], "vortices")
-    params = GLParameters(epsilon, delta, coeff,
-                          default_grid(domain, epsilon, cells))
+    try:
+        grid = default_grid(domain, epsilon, cells)
+    except ValueError as exc:  # no grid of square cells fits the extent
+        raise ConfigError(f"domain: {exc}") from exc
+    params = GLParameters(epsilon, delta, coeff, grid)
     try:
         mu = VortexMeasure(atoms, domain)
         v0 = recovery_field(mu, params, s=s, relocate_cores=relocate)
     except ValueError as exc:  # atoms outside the domain or not separated
         raise ConfigError(f"vortices: {exc}") from exc
     if args.seed is not None:
-        rng = np.random.default_rng(args.seed)
-        noise = 1e-3 * rng.standard_normal(v0.values.shape)
-        noise[0, :] = noise[-1, :] = 0.0
-        noise[:, 0] = noise[:, -1] = 0.0
-        v0 = type(v0)(v0.grid, v0.values + noise)
+        v0 = _perturbed_start(v0, np.random.default_rng(args.seed))
     budget = MinimizeBudget(max_iterations=max_iterations)
     initial = gl_energy(v0, params)
     report = minimize_gl(v0, params, budget)

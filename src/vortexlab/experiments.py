@@ -38,10 +38,11 @@ from .coefficients import (
     raster_from_file,
     smooth_trigonometric,
 )
-from .fields import CartesianGrid
+from .fields import CartesianGrid, VectorField2D
 from .gl_solver import (
     GLParameters,
     MinimizeBudget,
+    _proxy_cells,
     core_radius_energy,
     default_grid,
     gl_energy,
@@ -283,8 +284,9 @@ def _domain_from_spec(spec: Any, where: str = "domain") -> Rectangle:
     for key in ("origin", "extent"):
         value = spec[key]
         if not (isinstance(value, list) and len(value) == 2
-                and all(_is_number(v) for v in value)):
-            raise ConfigError(f"'{key}' at {where} must be a list of two numbers")
+                and all(_is_number(v) and math.isfinite(v) for v in value)):
+            raise ConfigError(
+                f"'{key}' at {where} must be a list of two finite numbers")
         corners.append((float(value[0]), float(value[1])))
     try:
         return Rectangle(*corners)
@@ -444,9 +446,13 @@ def _lambda_effective(epsilon: float, delta: float) -> float:
     return min(abs(math.log(delta)) / abs(math.log(epsilon)), 1.0)
 
 
-def _grid_cells(config: ExperimentConfig, epsilon: float) -> int:
-    lx = max(config.domain.extent)
-    return 1 << max(4, math.ceil(math.log2(config.cells_per_epsilon * lx / epsilon)))
+def _perturbed_start(v: VectorField2D, rng: np.random.Generator) -> VectorField2D:
+    """v plus Gaussian noise of standard deviation 1e-3 from `rng`, zero on
+    the boundary nodes (which the descent holds fixed)."""
+    noise = 1e-3 * rng.standard_normal(v.values.shape)
+    noise[0, :] = noise[-1, :] = 0.0
+    noise[:, 0] = noise[:, -1] = 0.0
+    return VectorField2D(v.grid, v.values + noise)
 
 
 def _measure_one(
@@ -475,8 +481,9 @@ def _measure_one(
                 relocated_measure(mu, config.coefficient, delta) if relocate else mu
             )
             energy, info = core_radius_energy(
-                used, params, n=_grid_cells(config, epsilon), rtol=config.rtol
-            )
+                used, params, rtol=config.rtol,
+                n=_proxy_cells(max(config.domain.extent), epsilon,
+                               config.cells_per_epsilon))
             solve = {"iterations": info.iterations,
                      "outer_steps": info.outer_steps,
                      "relative_residual": info.relative_residual}
@@ -486,13 +493,8 @@ def _measure_one(
             v = recovery_field(mu, params, relocate_cores=relocate)
             if config.channel == "gl_minimize":
                 if seed is not None:
-                    rng = np.random.default_rng(
-                        [seed, int(round(-math.log2(epsilon)))]
-                    )
-                    noise = 1e-3 * rng.standard_normal(v.values.shape)
-                    noise[0, :] = noise[-1, :] = 0.0
-                    noise[:, 0] = noise[:, -1] = 0.0
-                    v = type(v)(v.grid, v.values + noise)
+                    v = _perturbed_start(v, np.random.default_rng(
+                        [seed, int(round(-math.log2(epsilon)))]))
                 report = minimize_gl(
                     v, params, MinimizeBudget(max_iterations=config.max_iterations)
                 )

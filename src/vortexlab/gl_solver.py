@@ -322,13 +322,19 @@ def _superposition_gradient(
     return g
 
 
-#: Precision of `core_radius_energy`'s inner solve: its face weights, CG
+#: Precision of `_core_radius_phase`'s inner solve: its face weights, CG
 #: vectors and DCT-II preconditioner.
 _INNER_DTYPE = np.float32
 #: Relative residual each inner solve reaches before the float64 residual is
 #: formed again.  The scaling rows (k = 5..9) take 2 refinement steps at
 #: 1e-4; at 1e-3 they took 3 steps and more inner iterations in all.
 _INNER_RTOL = 1e-4
+
+
+def _proxy_cells(length: float, epsilon: float, cells_per_eps: int = 4) -> int:
+    """Cells per side of the proxy's grid on a square of side `length`: the
+    power of two, 16 at least, that gives `cells_per_eps` cells per eps."""
+    return 1 << max(4, math.ceil(math.log2(cells_per_eps * length / epsilon)))
 
 
 def core_radius_energy(
@@ -338,19 +344,41 @@ def core_radius_energy(
     rtol: float = 1e-8,
 ) -> tuple[float, SolveInfo]:
     """Minimum weighted Dirichlet energy of unit-modulus fields with the
-    prescribed degrees, outside the union of eps-disks around the atoms.
+    prescribed degrees, outside the union of eps-disks around the atoms:
+    `solvers._face_energy` of the minimizer's phase, summed over its row
+    chunks.  `_core_radius_phase` gives the geometry, the shift, the
+    memory and the precision.  Energy and `SolveInfo` are the same bits
+    for every thread count and BLAS setting.
+
+    Returns (energy, SolveInfo of the refined solve: inner iterations in
+    all, final float64 relative residual, outer steps).  Raises
+    SolverError when an inner solve fails, or when an outer step gives a
+    non-finite residual or does not lower it.
+    """
+    phi, info, faces = _core_radius_phase(mu, params, n, rtol)
+    return _row_sum(phi, lambda i0, i1: _face_energy(
+        phi, i0, i1, *faces(i0, i1))), info
+
+
+def _core_radius_phase(
+    mu: VortexMeasure, params: GLParameters, n: Optional[int], rtol: float
+) -> tuple[np.ndarray, SolveInfo, Callable[[int, int], tuple]]:
+    """(phi, info, faces): the single-valued phase correction phi of
+    `core_radius_energy`'s minimizer on n x n cells (`_proxy_cells` by
+    default; 0 on the inactive ones), the `SolveInfo` of its solve, and
+    faces(i0, i1), the face rows the row kernels read for rows i0..i1-1,
+    (wx_rows, wy_rows, None, gx_rows, gy_rows) in their argument order.
 
     Geometry.  Writing the competitor's phase as (superposition of angle
-    fields) + (single-valued correction) reduces the minimization to one
-    linear solve on n x n square cells over the domain: coefficient at
-    the face midpoints, natural boundary conditions, every face that
-    touches an inactive cell (inside an eps-disk) weighted 0, face data h
-    times the angle fields' gradient.  b, A phi and the energy are
-    `solvers.FaceOperator`'s row kernels, given per row chunk the weight
-    and face-data rows it reads.  The set-up evaluates the coefficient
-    once per face family; later passes rebuild their weight rows with the
-    same bits (`PeriodicCoefficient.eval_grid`, then the mask), one
-    evaluation per chunk for both b and A phi.
+    fields) + phi reduces the minimization to one linear solve on square
+    cells over the domain: coefficient at the face midpoints, natural
+    boundary conditions, every face that touches an inactive cell (inside
+    an eps-disk) weighted 0, face data h times the angle fields' gradient.
+    b, A phi and the energy are `solvers.FaceOperator`'s row kernels, given
+    per row chunk the face rows it reads.  The set-up evaluates the
+    coefficient once per face family; later passes rebuild their weight
+    rows with the same bits (`PeriodicCoefficient.eval_grid`, then the
+    mask), one evaluation per chunk for both b and A phi.
 
     Shift.  b is projected onto mean-zero functions on the active cells:
     the set-up stages b's rows in phi to sum them, the first residual
@@ -370,14 +398,10 @@ def core_radius_energy(
     A d = r to `_INNER_RTOL` with `solvers.pcg` in float32 (float64
     inner products), adds d to phi and forms r = b - A phi in float64,
     until the float64 relative residual is at most `rtol`, within 50 n
-    inner iterations in all.  The scaling rows' energies agree with a
-    float64 CG to 1e-12 relative.  Energy and `SolveInfo` are the same
-    bits for every thread count and BLAS setting.
-
-    Returns (energy, SolveInfo of the refined solve: inner iterations in
-    all, final float64 relative residual, outer steps).  Raises
-    SolverError when an inner solve fails, or when an outer step gives a
-    non-finite residual or does not lower it.
+    inner iterations in all.  r, in float32, is each inner solve's
+    right-hand side and CG's r (`pcg` overwrites it, and the residual pass
+    after the step writes it again).  The scaling rows' energies agree
+    with a float64 CG to 1e-12 relative.
     """
     if not mu.atoms:
         raise ValueError("the proxy energy needs at least one atom")
@@ -387,7 +411,7 @@ def core_radius_energy(
         raise ValueError("the proxy solver expects a square domain")
     eps = params.epsilon
     if n is None:
-        n = 1 << max(4, math.ceil(math.log2(4.0 * lx / eps)))
+        n = _proxy_cells(lx, eps)
     h = lx / n
     ox, oy = domain.origin
 
@@ -437,23 +461,34 @@ def core_radius_energy(
 
     _row_blocks(active, mask_set_up)
 
-    def data_rows(i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
-        """h times the angle fields' gradient on the faces that the row
-        kernels read for rows i0..i1-1 (`solvers._face_rows`)."""
-        gx = _superposition_gradient(xf[max(i0 - 1, 0):min(i1, n - 1), None],
-                                     yc, mu.atoms, 0)
+    def faces(i0: int, i1: int, wx=None, wy=None) -> tuple:
+        """The face rows the row kernels read for rows i0..i1-1: the masked
+        weights, sliced from the set-up's (wx, wy) when given, else rebuilt
+        with their bits (no face wraps), and the face data."""
+        lo, j1 = max(i0 - 1, 0), min(i1, n - 1)
+        if wx is None:
+            wx = masked(coeff.eval_grid(xf[lo:j1] / delta, yc / delta), lo, j1, 0)
+            wy = masked(coeff.eval_grid(xc[i0:i1] / delta, yf / delta), i0, i1, 1)
+        else:
+            wx, wy = wx[lo:j1], wy[i0:i1]
+        gx = _superposition_gradient(xf[lo:j1, None], yc, mu.atoms, 0)
         gy = _superposition_gradient(xc[i0:i1, None], yf, mu.atoms, 1)
         gx *= h
         gy *= h
-        return gx, gy
+        return wx, wy, None, gx, gy
+
+    def projected(b: np.ndarray, i0: int, i1: int, shift: float) -> np.ndarray:
+        """Rows i0..i1-1 of b, in place: minus `shift`, 0 on the inactive
+        cells."""
+        b -= shift
+        np.copyto(b, 0.0, where=~active[i0:i1])
+        return b
 
     def staged_rhs(i0: int, i1: int) -> float:
         """Rows i0..i1-1 of b, zeroed on the inactive cells, into phi; their
         sum."""
-        b = _face_rhs(i0, i1, phi[i0:i1], wx[max(i0 - 1, 0):min(i1, n - 1)],
-                      wy[i0:i1], None, *data_rows(i0, i1))
-        np.copyto(b, 0.0, where=~active[i0:i1])
-        return _chunk_sum(b)
+        return _chunk_sum(projected(
+            _face_rhs(i0, i1, phi[i0:i1], *faces(i0, i1, wx, wy)), i0, i1, 0.0))
 
     phi = np.empty((n, n))
     shift = _row_sum(active, staged_rhs) / int(active.sum())
@@ -463,14 +498,6 @@ def core_radius_energy(
     # it reads
     del wx, wy
 
-    def weight_rows(i0: int, i1: int) -> tuple:
-        """The same faces' weights, with the bits of the masked set-up
-        weights (no face wraps)."""
-        lo, j1 = max(i0 - 1, 0), min(i1, n - 1)
-        return (masked(coeff.eval_grid(xf[lo:j1] / delta, yc / delta), lo, j1, 0),
-                masked(coeff.eval_grid(xc[i0:i1] / delta, yf / delta), i0, i1, 1),
-                None)
-
     # A p, the DCT-II's transforms and z, in turn (see `pcg`)
     work = _padded_grid((n, n), _INNER_DTYPE)
     inner = FaceOperator(*inner_weights, out=work)
@@ -479,9 +506,7 @@ def core_radius_energy(
     r = np.empty((n, n), _INNER_DTYPE)
 
     def first_residual(i0: int, i1: int) -> float:
-        b = phi[i0:i1]
-        b -= shift
-        np.copyto(b, 0.0, where=~active[i0:i1])
+        b = projected(phi[i0:i1], i0, i1, shift)
         r[i0:i1] = b
         squared = _chunk_dot(b, b)
         b.fill(0.0)
@@ -489,61 +514,33 @@ def core_radius_energy(
 
     def residual_rows(i0: int, i1: int) -> float:
         """Rows i0..i1-1 of b - A phi into r; their squared float64 norm."""
-        weights = weight_rows(i0, i1)
-        b = _face_rhs(i0, i1, np.empty((i1 - i0, n)), *weights,
-                      *data_rows(i0, i1))
-        b -= shift
-        np.copyto(b, 0.0, where=~active[i0:i1])
-        ap = _face_rows(phi, i0, i1, np.empty_like(b), *weights)
+        rows = faces(i0, i1)
+        b = projected(_face_rhs(i0, i1, np.empty((i1 - i0, n)), *rows),
+                      i0, i1, shift)
+        ap = _face_rows(phi, i0, i1, np.empty_like(b), *rows[:3])
         np.subtract(b, ap, out=ap)
         r[i0:i1] = ap
         return _chunk_dot(ap, ap)
 
     bnorm = math.sqrt(_row_sum(phi, first_residual))
-    info = _refine(phi, r, bnorm, lambda: _row_sum(r, residual_rows),
-                   inner, precond, rtol=rtol, maxiter=50 * n)
-    return _row_sum(phi, lambda i0, i1: _face_energy(
-        phi, i0, i1, *weight_rows(i0, i1), *data_rows(i0, i1))), info
-
-
-def _refine(phi: np.ndarray, r: np.ndarray, bnorm: float,
-            residual: Callable[[], float], inner: FaceOperator, precond, *,
-            rtol: float, maxiter: int) -> SolveInfo:
-    """Solve A phi = b in place to relative residual `rtol` by iterative
-    refinement: float64 residuals, corrections from `pcg` on `inner` and
-    `precond` in their own precision, at most `maxiter` inner iterations
-    in all (see `core_radius_energy`).
-
-    On entry phi is 0 and r, in the inner precision, holds the first
-    residual b, whose float64 norm is `bnorm`.  `residual()` writes
-    b - A phi into r for the current phi and returns its float64 squared
-    norm; r is also the right-hand side of each inner solve and CG's r
-    (`pcg` overwrites it, and the residual pass after the step writes it
-    again)."""
     if not math.isfinite(bnorm):
         raise SolverError("refinement got a non-finite right-hand side",
                           iterations=0)
-    if bnorm == 0.0:
-        return SolveInfo(0, 0.0, 0)
-    res = bnorm
-    iterations = steps = 0
+    res, iterations, steps = bnorm, 0, 0
     while res > rtol * bnorm:
         try:
             d, info = pcg(inner, r, precond, rtol=_INNER_RTOL,
-                          maxiter=maxiter - iterations)
+                          maxiter=50 * n - iterations)
         except SolverError as exc:
             raise SolverError(
                 f"refinement step {steps + 1}: {exc}", residual=res / bnorm,
                 iterations=iterations + exc.iterations) from exc
         iterations += info.iterations
         steps += 1
-
-        def correct(i0: int, i1: int) -> None:
-            phi[i0:i1] += d[i0:i1]
-
-        _row_blocks(phi, correct)
+        _row_blocks(phi, lambda i0, i1: np.add(phi[i0:i1], d[i0:i1],
+                                               out=phi[i0:i1]))
         d = None  # free before the residual pass and the next inner solve
-        previous, res = res, math.sqrt(residual())
+        previous, res = res, math.sqrt(_row_sum(r, residual_rows))
         if not math.isfinite(res):
             raise SolverError(
                 f"refinement met a non-finite residual (step {steps})",
@@ -552,7 +549,7 @@ def _refine(phi: np.ndarray, r: np.ndarray, bnorm: float,
             raise SolverError(
                 f"refinement stagnated at relative residual {res / bnorm:.3e} "
                 f"(step {steps})", residual=res / bnorm, iterations=iterations)
-    return SolveInfo(iterations, res / bnorm, steps)
+    return phi, SolveInfo(iterations, res / bnorm if bnorm else 0.0, steps), faces
 
 
 # -- minimization ---------------------------------------------------------------------

@@ -95,6 +95,16 @@ def test_psi_bad_keys_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_psi_infinite_ratio_exits_2(tmp_path, capsys):
+    # an infinite ratio passed the ordering check and overflowed in the
+    # radial grid (an OverflowError traceback, exit 1)
+    cfg = _config(tmp_path, {"tensor": {"a11": 1.0, "a22": 1.0},
+                             "ratios": [10.0, 100.0, math.inf]})
+    assert cli.main(["psi", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite, increasing numbers" in err
+
+
 def test_psi_delta_too_fine_to_allocate_exits_2(tmp_path, capsys):
     # the grid used to be sized and then fail in numpy with a traceback
     # ("Maximum allowed size exceeded"); it is now refused before any array
@@ -180,6 +190,50 @@ def test_bad_domain_exits_2(tmp_path, capsys):
     assert cli.main(["flat", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"),
                      "--config", cfg]) == 2
     assert "missing key 'extent' at domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scaling", "minimize", "flat"])
+@pytest.mark.parametrize("key, corner", [
+    ("extent", [math.inf, math.inf]), ("extent", [1.0, math.nan]),
+    ("origin", [0.0, -math.inf])])
+def test_non_finite_domain_exits_2(tmp_path, capsys, command, key, corner):
+    # JSON Infinity and NaN used to reach the grid sizing (an OverflowError
+    # or ValueError traceback, exit 1) or to pass unnoticed (flat)
+    domain = {"origin": [0.0, 0.0], "extent": [1.0, 1.0], key: corner}
+    study = {
+        "coefficient": {"kind": "constant", "value": 1.0},
+        "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+        "domain": domain,
+    }
+    if command == "scaling":
+        study |= {"regime": {"kind": "delta_proportional"},
+                  "epsilons": {"k_min": 3, "k_max": 4}}
+    cfg = _config(tmp_path, study if command != "flat" else {"domain": domain})
+    if command == "flat":
+        VortexMeasure((((0.5, 0.5), 1),), Rectangle((0.0, 0.0), (1.0, 1.0))
+                      ).to_csv(str(tmp_path / "a.csv"))
+        argv = ["flat", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"),
+                "--config", cfg]
+    else:
+        argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert f"'{key}' at domain must be a list of two finite numbers" in err
+
+
+def test_minimize_domain_without_square_cells_exits_2(tmp_path, capsys):
+    # extent 1 x 0.3 at eps = 2^-6 gives 256 x 77 cells, which are not
+    # square; the grid used to raise outside the config checks (exit 1)
+    cfg = _config(tmp_path, {
+        "coefficient": {"kind": "constant", "value": 1.0},
+        "epsilon": 2.0**-6,
+        "vortices": [{"x": 0.5, "y": 0.15, "charge": 1}],
+        "domain": {"origin": [0.0, 0.0], "extent": [1.0, 0.3]},
+    })
+    assert cli.main(["minimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "domain: cells must be square" in err
 
 
 def test_minimize_writes_artifacts(tmp_path, capsys):

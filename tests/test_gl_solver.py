@@ -313,6 +313,38 @@ def test_refinement_counts_inner_iterations_against_one_budget(monkeypatch):
     assert info.iterations == calls[0][1] + calls[1][1]
 
 
+def test_core_radius_phase_is_the_minimizer_of_the_reported_energy():
+    eps, n = 2.0**-5, 128
+    atoms = (((0.43, 0.52), 1), ((0.7, 0.3), -1))
+    mu = VortexMeasure(atoms, UNIT)
+    params = _params(eps, delta=eps, coeff=coefficients.checkerboard(1.0, 4.0),
+                     n=16)
+    phi, info, faces = gl_solver._core_radius_phase(mu, params, n, 1e-8)
+
+    def energy(psi):
+        return solvers._row_sum(psi, lambda i0, i1: solvers._face_energy(
+            psi, i0, i1, *faces(i0, i1)))
+
+    e0 = energy(phi)
+    assert (e0, info) == core_radius_energy(mu, params, n=n)
+    # the cells inside an eps-disk, from their centres
+    c = (np.arange(n) + 0.5) / n
+    inactive = np.zeros((n, n), dtype=bool)
+    for (ax, ay), _ in atoms:
+        inactive |= (c[:, None] - ax) ** 2 + (c - ay) ** 2 <= eps**2
+    assert inactive.any() and not inactive.all()
+    assert np.all(phi[inactive] == 0.0)
+    # the first variation vanishes: E(phi + t v) - E(phi - t v) is odd in t
+    # and E's Hessian term is even, so the odd part must be rounding
+    v = np.random.default_rng(3).standard_normal((n, n))
+    v[inactive] = 0.0
+    for t in (1e-2, 1e-3):
+        plus, minus = energy(phi + t * v), energy(phi - t * v)
+        even = plus + minus - 2.0 * e0
+        assert even > 0.0
+        assert abs(plus - minus) <= 1e-6 * even
+
+
 def test_core_radius_energy_scales_with_constant_coefficient():
     eps = 2.0**-5
     mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)

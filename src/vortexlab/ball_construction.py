@@ -194,38 +194,28 @@ def evolve(initial: list[WeightedBall], t_final: float) -> BallTimeline:
         if t_next > t_final:
             break
 
-        grown = [
+        family = [
             WeightedBall(b.center, b.radius * best, b.weight) for b in family
         ]
-        merged_family: list[WeightedBall] = []
-        for comp in _touching_components(grown):
-            if len(comp) == 1:
-                merged_family.append(grown[comp[0]])
-            else:
-                cluster = merge_cluster([grown[k] for k in comp])
-                timeline.events.append(
-                    MergeEvent(t_next, tuple(sorted(comp)), cluster)
-                )
-                merged_family.append(cluster)
-        # cascade: enclosing balls may newly overlap other balls
+        # merge the touching components, cascading while enclosing balls
+        # newly overlap other balls
         while True:
-            comps = _touching_components(merged_family)
+            comps = _touching_components(family)
             if all(len(c) == 1 for c in comps):
                 break
-            nxt: list[WeightedBall] = []
+            merged: list[WeightedBall] = []
             for comp in comps:
                 if len(comp) == 1:
-                    nxt.append(merged_family[comp[0]])
+                    merged.append(family[comp[0]])
                 else:
-                    cluster = merge_cluster([merged_family[k] for k in comp])
+                    cluster = merge_cluster([family[k] for k in comp])
                     timeline.events.append(
                         MergeEvent(t_next, tuple(sorted(comp)), cluster)
                     )
-                    nxt.append(cluster)
-            merged_family = nxt
+                    merged.append(cluster)
+            family = merged
 
         t_now = t_next
-        family = merged_family
         timeline.epochs.append((t_now, family))
 
     return timeline

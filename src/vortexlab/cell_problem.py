@@ -27,7 +27,13 @@ import numpy as np
 
 from .coefficients import PeriodicCoefficient
 from .fields import CartesianGrid, ScalarField2D
-from .solvers import FaceOperator, SolverError, pcg, periodic_fft_preconditioner
+from .solvers import (
+    FaceOperator,
+    SolverError,
+    _mean_zero,
+    pcg,
+    periodic_fft_preconditioner,
+)
 
 __all__ = [
     "HomogenizedTensor",
@@ -141,19 +147,15 @@ def solve_corrector(
     abar = 0.5 * float(wx.mean() + wy.mean())
     precond = periodic_fft_preconditioner((n, n), abar)
 
-    def project(v: np.ndarray) -> np.ndarray:
-        v -= v.mean()
-        return v
-
     def apply(v: np.ndarray) -> np.ndarray:
         # the periodic operator keeps mean zero only up to rounding; without
         # this projection a checkerboard(1, 100) corrector at n = 64 took 35
         # iterations instead of 34 in one direction
-        return project(operator.apply(v))
+        return _mean_zero(operator.apply(v))
 
     try:
         phi, info = pcg(apply, b, precond, rtol=rtol, maxiter=50 * n,
-                        project=project)
+                        project=_mean_zero)
     except SolverError as exc:
         raise SolverError(
             f"cell corrector for xi={xi} stalled at residual {exc.residual:.3e} "

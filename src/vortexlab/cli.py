@@ -49,6 +49,7 @@ from .gl_solver import (
     gl_energy,
     minimize_gl,
     recovery_field,
+    relocated_measure,
 )
 from .singularity_cost import (
     _MIN_CELLS_PER_PERIOD,
@@ -237,7 +238,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 _MINIMIZE_KEYS = {
     "coefficient", "epsilon", "delta", "domain", "vortices",
-    "cells_per_epsilon", "s", "relocate", "max_iterations",
+    "cells_per_epsilon", "relocate", "max_iterations",
 }
 
 
@@ -249,9 +250,6 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     delta = _positive(data, "delta", "top level", epsilon)
     cells = _integer_at_least(data.get("cells_per_epsilon", 4), 4,
                               "'cells_per_epsilon'")
-    s = _number(data, "s", "top level") if "s" in data else None
-    if s is not None and not 0.0 < s < 1.0:
-        raise ConfigError(f"'s' must lie in (0,1), got {s!r}")
     relocate = data.get("relocate", False)
     if not isinstance(relocate, bool):
         raise ConfigError("'relocate' must be true or false")
@@ -266,7 +264,9 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     params = GLParameters(epsilon, delta, coeff, grid)
     try:
         mu = VortexMeasure(atoms, domain)
-        v0 = recovery_field(mu, params, s=s, relocate_cores=relocate)
+        if relocate:
+            mu = relocated_measure(mu, coeff, delta)
+        v0 = recovery_field(mu, params)
     except ValueError as exc:  # atoms outside the domain or not separated
         raise ConfigError(f"vortices: {exc}") from exc
     if args.seed is not None:
@@ -371,21 +371,20 @@ def _cmd_flat(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot load measures: {exc}") from exc
     result = flat_distance(mu1, mu2)
     print(f"flat distance = {result.value:.12g}")
-    if args.out:
-        payload = {
-            "value": result.value,
-            "breakdown": dict(result.breakdown),
-            "plan": [
-                {
-                    "source": list(src) if src is not None else None,
-                    "target": list(dst) if dst is not None else None,
-                    "mass": mass,
-                }
-                for src, dst, mass in result.plan
-            ],
-        }
-        path = _write_json(payload, args.out, "flat.json")
-        print(f"-> {path}")
+    payload = {
+        "value": result.value,
+        "breakdown": dict(result.breakdown),
+        "plan": [
+            {
+                "source": list(src) if src is not None else None,
+                "target": list(dst) if dst is not None else None,
+                "mass": mass,
+            }
+            for src, dst, mass in result.plan
+        ],
+    }
+    path = _write_json(payload, args.out, "flat.json")
+    print(f"-> {path}")
     return 0
 
 

@@ -474,12 +474,10 @@ def _measure_one(
     flag = ""
     solve = None
     try:
+        used = relocated_measure(mu, config.coefficient, delta) if relocate else mu
         if config.channel == "core_radius":
             placeholder = CartesianGrid(config.domain.origin, config.domain.extent, (4, 4))
             params = GLParameters(epsilon, delta, config.coefficient, placeholder)
-            used = (
-                relocated_measure(mu, config.coefficient, delta) if relocate else mu
-            )
             energy, info = core_radius_energy(
                 used, params, rtol=config.rtol,
                 n=_proxy_cells(max(config.domain.extent), epsilon,
@@ -490,7 +488,7 @@ def _measure_one(
         else:
             grid = default_grid(config.domain, epsilon, config.cells_per_epsilon)
             params = GLParameters(epsilon, delta, config.coefficient, grid)
-            v = recovery_field(mu, params, relocate_cores=relocate)
+            v = recovery_field(used, params)
             if config.channel == "gl_minimize":
                 if seed is not None:
                     v = _perturbed_start(v, np.random.default_rng(

@@ -10,13 +10,12 @@ coefficient at its midpoint and by the number of adjacent plaquettes) and
 nodal for the potential; that combination has no spurious zero-energy
 modes and gives exact values on affine fields.
 
-`recovery_field` assembles the near-optimal competitor around a vortex
-measure: a linear-modulus core of radius eps, a pure phase annulus, an
-exact phase-corrector annulus solved with the fixed-trace annulus
-minimizer when the coefficient oscillates, and the superposition of angle
-fields far away.  `core_radius_energy` measures the prescribed-degree
-minimum over unit-modulus fields outside eps-disks — a single linear
-solve, and the quantitative measurement channel of the scaling studies.
+`recovery_field` builds the competitor around a vortex measure: the
+superposition of angle fields with a linear-modulus core of radius eps
+(Bethuel, Brezis & Helein, *Ginzburg-Landau Vortices*, 1994).
+`core_radius_energy` measures the prescribed-degree minimum over
+unit-modulus fields outside eps-disks — a single linear solve, and the
+quantitative measurement channel of the scaling studies.
 
 `minimize_gl` descends the energy with boundary nodes held fixed, by
 nonlinear conjugate gradients with an exact line search: along a line the
@@ -29,18 +28,13 @@ the descent stopped (`STOP_REASONS`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coefficients import PeriodicCoefficient
-from .fields import CartesianGrid, PolarGrid, VectorField2D
-from .singularity_cost import (
-    AnnulusProblem,
-    min_annulus_energy,
-    oscillating_annulus_grid,
-)
+from .fields import CartesianGrid, VectorField2D
 from .solvers import (
     FaceOperator,
     SolveInfo,
@@ -190,49 +184,11 @@ def relocated_measure(
     return VortexMeasure(tuple(atoms), mu.domain)
 
 
-def _default_s(epsilon: float) -> float:
-    loglog = math.log(max(abs(math.log(epsilon)), 1.0 + 1e-9))
-    return min(max(1.0 - 1.0 / max(loglog, 1e-9), 0.05), 0.95)
-
-
-def _interp_polar_phase(
-    phi: np.ndarray, grid: PolarGrid, dx: np.ndarray, dy: np.ndarray
-) -> np.ndarray:
-    """Bilinear interpolation of a nodal (s, theta) table at offsets dx, dy."""
-    ns, nt = phi.shape
-    s = np.log(np.hypot(dx, dy) / grid.r_inner)
-    ds = math.log(grid.r_outer / grid.r_inner) / (ns - 1)
-    theta = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
-    fs = np.clip(s / ds, 0.0, ns - 1 - 1e-12)
-    js = np.floor(fs).astype(int)
-    ts = fs - js
-    ft = theta / grid.dtheta
-    kt = np.floor(ft).astype(int) % nt
-    tt = ft - np.floor(ft)
-    kt1 = (kt + 1) % nt
-    return (
-        (1 - ts) * (1 - tt) * phi[js, kt]
-        + ts * (1 - tt) * phi[js + 1, kt]
-        + (1 - ts) * tt * phi[js, kt1]
-        + ts * tt * phi[js + 1, kt1]
-    )
-
-
-def recovery_field(
-    mu: VortexMeasure,
-    params: GLParameters,
-    s: Optional[float] = None,
-    relocate_cores: bool = False,
-) -> VectorField2D:
-    """Near-optimal competitor field carrying the vortex measure mu.
-
-    Around each atom (relocated to its coefficient-minimum cell point when
-    `relocate_cores` is set): modulus ramp r/eps inside the eps-disk, pure
-    phase out to r_mid = min(base^s, rho_bar/2) (base = delta when
-    relocating, else eps), then — for non-constant coefficients — the
-    fixed-trace annulus minimizer's phase corrector out to rho_bar, and the
-    plain superposition of angle fields beyond.  rho_bar = min(rho, 1/2)
-    with rho a third of the smallest pairwise/boundary distance.
+def recovery_field(mu: VortexMeasure, params: GLParameters) -> VectorField2D:
+    """Competitor field carrying the vortex measure mu: the superposition of
+    angle fields, sum of z arg(x - a) over the atoms, with modulus r/eps
+    inside each eps-disk and 1 outside.  Callers that relocate the atoms
+    pass `relocated_measure(mu, ...)`, so the checks see the atoms built.
 
     Requires mu to be separated at scale eps and the grid to resolve the
     cores (h <= eps/4).
@@ -249,57 +205,14 @@ def recovery_field(
             f"measure separation {mu.separation():.3e} is below 2*eps; "
             "the construction needs disjoint core neighborhoods"
         )
-    if relocate_cores:
-        mu = relocated_measure(mu, params.coefficient, params.delta)
-
-    if s is None:
-        s = _default_s(eps)
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0,1), got {s}")
-
-    atoms = mu.atoms
     xx, yy = grid.node_mesh()
     phase = np.zeros(grid.node_shape)
-    for (ax, ay), z in atoms:
-        phase += z * np.arctan2(yy - ay, xx - ax)
     modulus = np.ones(grid.node_shape)
-
-    if atoms:
-        dists = [mu.domain.boundary_distance(p) for p, _ in atoms]
-        pos = [p for p, _ in atoms]
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                dists.append(math.dist(pos[i], pos[j]))
-        rho_bar = min(min(dists) / 3.0, 0.5)
-    else:
-        rho_bar = 0.5
-
-    base = params.delta if relocate_cores else eps
-    r_mid = min(base**s, 0.5 * rho_bar)
-    oscillating = params.coefficient.kind != "constant"
-
-    for (ax, ay), z in atoms:
-        dx = xx - ax
-        dy = yy - ay
-        r = np.hypot(dx, dy)
+    for (ax, ay), z in mu.atoms:
+        phase += z * np.arctan2(yy - ay, xx - ax)
+        r = np.hypot(xx - ax, yy - ay)
         core = r < eps
         modulus[core] = np.maximum(r[core], 1e-9 * grid.h) / eps
-        if oscillating and r_mid > 1.5 * eps and r_mid < 0.75 * rho_bar:
-            pgrid = oscillating_annulus_grid(
-                r_mid, rho_bar, params.delta, center=(ax, ay)
-            )
-            problem = AnnulusProblem(
-                pgrid, z, coefficient=params.coefficient,
-                delta=params.delta, fixed_trace=True,
-            )
-            _, lifting = min_annulus_energy(problem)
-            phi = lifting.values - z * pgrid.theta()[None, :]
-            band = (r >= r_mid) & (r < rho_bar)
-            if np.any(band):
-                phase[band] += _interp_polar_phase(
-                    phi, pgrid, dx[band], dy[band]
-                )
-
     values = np.stack([modulus * np.cos(phase), modulus * np.sin(phase)],
                       axis=-1)
     return VectorField2D(grid, values)

@@ -57,6 +57,7 @@ from .fields import PolarGrid, ScalarField2D
 from .solvers import (
     FaceOperator,
     SolverError,
+    _mean_zero,
     dot,
     mixed_dct_fft_preconditioner,
     pcg,
@@ -129,7 +130,6 @@ def oscillating_annulus_grid(
     r_outer: float,
     delta: float,
     cells_per_period: float = DEFAULT_CELLS_PER_PERIOD,
-    center: tuple[float, float] = (0.0, 0.0),
 ) -> PolarGrid:
     """Annulus grid sized so cells near r_inner span delta/cells_per_period.
 
@@ -160,7 +160,7 @@ def oscillating_annulus_grid(
             "than numpy can allocate")
     ns = max(7, math.ceil(length / dmax))
     nt = max(16, math.ceil(2.0 * math.pi / dmax))
-    return PolarGrid(center, r_inner, r_outer, ns + 1, nt)
+    return PolarGrid((0.0, 0.0), r_inner, r_outer, ns + 1, nt)
 
 
 # -- oscillating mode: cell-centered finite volumes -----------------------------
@@ -216,12 +216,7 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
     precond = mixed_dct_fft_preconditioner(
         (ns, nt), abar * cs, abar * ct, pinned=problem.fixed_trace,
         dtype=np.float32)
-    if problem.fixed_trace:
-        project = None
-    else:
-        def project(v: np.ndarray) -> np.ndarray:
-            v -= v.mean()
-            return v
+    project = None if problem.fixed_trace else _mean_zero
 
     try:
         # the right-hand side becomes CG's residual, freed on return
@@ -376,10 +371,7 @@ def _homogenized_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
     else:
         # free circles: the kernel is the constants, so solve on mean zero
         rows = slice(None)
-
-        def project(v: np.ndarray) -> np.ndarray:
-            v -= v.mean()
-            return v
+        project = _mean_zero
 
     rhs = -_scatter([z * f_el[:, a] for a in range(4)], nr, nt)[rows]
     stiffness = _Q1Stiffness(k_el, nr, rows)

@@ -292,6 +292,13 @@ def _with_dot(apply: Callable) -> Callable[[np.ndarray], tuple[np.ndarray, float
     return unfused
 
 
+def _mean_zero(v: np.ndarray) -> np.ndarray:
+    """v minus its mean, in place: the projection of the solves whose
+    kernel is the constants."""
+    v -= v.mean()
+    return v
+
+
 def pcg(
     apply_operator: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,

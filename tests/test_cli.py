@@ -262,6 +262,24 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     assert len(back.atoms) == 1
 
 
+def test_minimize_relocation_that_merges_atoms_exits_2(tmp_path, capsys):
+    # both atoms lie in the delta-cell [0.25, 0.5)^2 and relocate to its
+    # minimum point: the separation check must see the relocated atoms
+    cfg = _config(tmp_path, {
+        "coefficient": {"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
+        "epsilon": 2.0**-5,
+        "delta": 0.25,
+        "vortices": [{"x": 0.3, "y": 0.5, "charge": 1},
+                     {"x": 0.45, "y": 0.5, "charge": -1}],
+        "relocate": True,
+    })
+    assert cli.main(["minimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "measure separation 0.000e+00 is below 2*eps" in err
+    assert not (tmp_path / "minimize.json").exists()
+
+
 def test_minimize_bad_vortex_entry_exits_2(tmp_path, capsys):
     cases = (
         ({"x": 0.5, "charge": 1}, "missing key 'y'"),
@@ -316,8 +334,7 @@ def test_minimize_strict_config_exits_2(tmp_path, capsys):
         ({"delta": 0}, "'delta' at top level must be a finite number > 0"),
         ({"cells_per_epsilon": 2}, "'cells_per_epsilon' must be an integer >= 4"),
         ({"cells_per_epsilon": 4.0}, "'cells_per_epsilon' must be an integer >= 4"),
-        ({"s": 1.5}, "'s' must lie in (0,1)"),
-        ({"s": "0.5"}, "'s' at top level must be a number"),
+        ({"s": 0.5}, "unknown key 's' at top level"),
         ({"eta": 0.5}, "unknown key 'eta' at top level"),
         ({"relocate": "yes"}, "'relocate' must be true or false"),
         ({"max_iterations": 0}, "'max_iterations' must be an integer >= 1"),
@@ -410,6 +427,17 @@ def test_flat_between_csv_measures(tmp_path, capsys):
     payload = json.load(open(tmp_path / "flat.json", encoding="utf-8"))
     assert payload["value"] == pytest.approx(0.1, rel=1e-9)
     assert payload["plan"]
+
+
+def test_flat_writes_under_the_default_out(tmp_path, monkeypatch, capsys):
+    dom = Rectangle((0.0, 0.0), (1.0, 1.0))
+    VortexMeasure((((0.5, 0.5), 1),), dom).to_csv(str(tmp_path / "a.csv"))
+    VortexMeasure((((0.6, 0.5), 1),), dom).to_csv(str(tmp_path / "b.csv"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["flat", "a.csv", "b.csv"]) == 0
+    assert capsys.readouterr().out.endswith("-> ./flat.json\n")
+    payload = json.load(open(tmp_path / "flat.json", encoding="utf-8"))
+    assert payload["value"] == pytest.approx(0.1, rel=1e-9)
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

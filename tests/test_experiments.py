@@ -196,6 +196,25 @@ def test_flagged_rows_survive_and_study_continues(tmp_path):
     assert result.summary["rows_flagged"] == 2
 
 
+def test_relocation_that_merges_atoms_flags_the_row(tmp_path):
+    # delta = eps^0.4 = 1/4 puts both atoms in one delta-cell: they relocate
+    # to one point, and the recovery field's separation check sees that
+    path = _minimal(
+        tmp_path,
+        coefficient={"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
+        channel="gl_recovery",
+        vortices=[{"x": 0.3, "y": 0.5, "charge": 1},
+                  {"x": 0.45, "y": 0.5, "charge": -1}],
+        regime={"kind": "power_law", "lambda": 0.4},
+        solver={"tensor_resolution": 32},
+        epsilons={"k_min": 5, "k_max": 5},
+    )
+    (row,) = run_scaling_study(parse_config(path)).rows
+    assert row.delta == pytest.approx(0.25)
+    assert math.isnan(row.energy)
+    assert "measure separation 0.000e+00 is below 2*eps" in row.flag
+
+
 def test_non_converged_descents_are_flagged(tmp_path):
     # a 3-iteration budget stops both descents on `budget`
     path = _minimal(tmp_path, coefficient={"kind": "constant", "value": 1.0},

@@ -1,6 +1,5 @@
 """Energy quadrature, recovery competitors, the proxy energy, and descent."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -122,33 +121,23 @@ def test_recovery_field_validation():
     params = GLParameters(eps, 1.0, ONE, grid)
     with pytest.raises(ValueError, match="separation"):
         recovery_field(close, params)
-    with pytest.raises(ValueError):
-        recovery_field(mu, params, s=1.5)
 
 
-def test_recovery_with_oscillation_corrector(monkeypatch):
-    # delta = sqrt(eps) with relocation: the corrector annulus is active
+def test_recovery_field_at_relocated_atoms():
+    # delta = sqrt(eps): the atom moves to the coefficient's minimum point
+    # of its delta-cell, and the field's vortex sits there
     eps = 2.0**-5
     delta = math.sqrt(eps)
     grid = default_grid(UNIT, eps)
     coeff = coefficients.smooth_trigonometric()
     params = GLParameters(eps, delta, coeff, grid)
     mu = VortexMeasure((((0.5, 0.5), 1),), UNIT)
-    v = recovery_field(mu, params, s=0.8, relocate_cores=True)
+    target = relocated_measure(mu, coeff, delta)
+    v = recovery_field(target, params)
     found = detect_vortices(v)
     assert len(found.atoms) == 1
     assert found.atoms[0][1] == 1
-    target = relocated_measure(mu, coeff, delta).atoms[0][0]
-    assert math.dist(found.atoms[0][0], target) <= 2.0 * grid.h
-    e = gl_energy(v, params)
-    assert e.total == pytest.approx(44.5554865, rel=1e-6)
-    # a corrector solved in a(x) instead of the a(x/delta) that gl_energy
-    # measures is a worse competitor
-    solve = gl_solver.min_annulus_energy
-    monkeypatch.setattr(gl_solver, "min_annulus_energy",
-                        lambda p: solve(dataclasses.replace(p, delta=1.0)))
-    mismatched = recovery_field(mu, params, s=0.8, relocate_cores=True)
-    assert e.total < gl_energy(mismatched, params).total
+    assert math.dist(found.atoms[0][0], target.atoms[0][0]) <= 2.0 * grid.h
 
 
 # -- prescribed-degree proxy -----------------------------------------------------------

@@ -41,7 +41,6 @@ from .vortex_analysis import (
     Rectangle,
     VortexMeasure,
     boundary_degree,
-    degree,
     detect_vortices,
     flat_distance,
     jacobian,
@@ -101,7 +100,6 @@ __all__ = [
     "Rectangle",
     "VortexMeasure",
     "jacobian",
-    "degree",
     "boundary_degree",
     "detect_vortices",
     "flat_distance",

@@ -198,22 +198,27 @@ def evolve(initial: list[WeightedBall], t_final: float) -> BallTimeline:
             WeightedBall(b.center, b.radius * best, b.weight) for b in family
         ]
         # merge the touching components, cascading while enclosing balls
-        # newly overlap other balls
+        # newly overlap other balls; `origins` holds each ball's indices
+        # into the epoch's family, so every event names the balls it merged
+        origins = [(i,) for i in range(len(family))]
         while True:
             comps = _touching_components(family)
             if all(len(c) == 1 for c in comps):
                 break
             merged: list[WeightedBall] = []
+            merged_origins: list[tuple[int, ...]] = []
             for comp in comps:
+                members = tuple(sorted(i for k in comp for i in origins[k]))
                 if len(comp) == 1:
                     merged.append(family[comp[0]])
                 else:
                     cluster = merge_cluster([family[k] for k in comp])
                     timeline.events.append(
-                        MergeEvent(t_next, tuple(sorted(comp)), cluster)
+                        MergeEvent(t_next, members, cluster)
                     )
                     merged.append(cluster)
-            family = merged
+                merged_origins.append(members)
+            family, origins = merged, merged_origins
 
         t_now = t_next
         timeline.epochs.append((t_now, family))

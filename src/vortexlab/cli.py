@@ -3,7 +3,8 @@
 Subcommands: `cell` (homogenized tensor), `psi` (singularity costs),
 `minimize` (single energy descent), `balls` (merging-disk timeline),
 `scaling` (full study), `flat` (distance between two measure CSVs).
-Each reads a strict-JSON config and writes its artifacts under --out.
+Each reads a strict-JSON config and writes its artifacts under --out,
+which is made before any work.
 Exit codes: 0 success, 2 config error, 3 solver failure.
 """
 
@@ -66,7 +67,6 @@ __all__ = ["main"]
 
 
 def _write_json(payload: Any, out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -275,7 +275,6 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     initial = gl_energy(v0, params)
     report = minimize_gl(v0, params, budget)
 
-    os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     with open(trace_path, "w", encoding="utf-8") as handle:
         handle.write("iteration,energy\n")
@@ -335,7 +334,6 @@ def _cmd_balls(args: argparse.Namespace) -> int:
         timeline = evolve(balls, t_final)
     except ValueError as exc:
         raise ConfigError(f"invalid ball family: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "balls.csv")
     timeline.export_events_csv(csv_path)
     print(
@@ -426,9 +424,21 @@ _HANDLERS = {
 }
 
 
+def _make_out_dir(path: str) -> None:
+    """Create --out before any work, so a path that cannot be a directory
+    is a config error, not a traceback after the computation."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # "" or a path through a regular file
+        raise ConfigError(
+            f"--out {path!r} cannot be made a directory: "
+            f"{exc.strerror or exc}") from exc
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _make_out_dir(args.out)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,14 +4,14 @@ Two grid families cover every computation in the package:
 
   * `CartesianGrid` — uniform square-cell grids on rectangles, fields stored
     on the (nx+1) x (ny+1) nodes;
-  * `PolarGrid` — annulus grids with logarithmically spaced radial nodes and
-    uniformly spaced periodic angular nodes.  Equal-log radial shells carry
-    equal energy for fields whose energy density scales like 1/rho^2, which
-    is exactly the regime of interest, so log spacing spends resolution
-    where the energy lives.
+  * `PolarGrid` — the geometry of an annulus solve: logarithmically spaced
+    radii and uniformly spaced periodic angles.  Equal-log radial shells
+    carry equal energy for fields whose energy density scales like
+    1/rho^2, which is exactly the regime of interest, so log spacing
+    spends resolution where the energy lives.
 
-Scalar fields may declare a constant jump across the angular seam of a
-polar grid (the discrete form of a multivalued angle lifting).
+Fields live on a `CartesianGrid` only; the annulus solves return numbers,
+not fields.
 """
 
 from __future__ import annotations
@@ -101,28 +101,16 @@ class PolarGrid:
             raise ValueError(f"need n_theta >= 16, got {self.n_theta}")
 
     @property
-    def node_shape(self) -> tuple[int, int]:
-        return (self.n_r, self.n_theta)
-
-    def rho(self) -> np.ndarray:
-        j = np.arange(self.n_r)
-        return self.r_inner * (self.r_outer / self.r_inner) ** (j / (self.n_r - 1))
-
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
-    @property
     def dtheta(self) -> float:
         return 2.0 * np.pi / self.n_theta
-
-
-Grid = CartesianGrid | PolarGrid
 
 
 # -- fields -------------------------------------------------------------------
 
 
-def _check_shape(grid: Grid, values: np.ndarray, ncomp: int) -> None:
+def _check_shape(grid: CartesianGrid, values: np.ndarray, ncomp: int) -> None:
+    if not isinstance(grid, CartesianGrid):
+        raise ValueError(f"fields need a CartesianGrid, got {type(grid).__name__}")
     want = grid.node_shape + ((ncomp,) if ncomp > 1 else ())
     if values.shape != want:
         raise ValueError(f"values shape {values.shape} does not match grid {want}")
@@ -130,26 +118,21 @@ def _check_shape(grid: Grid, values: np.ndarray, ncomp: int) -> None:
 
 @dataclass
 class ScalarField2D:
-    """Scalar nodal field; `jump` declares a 2*pi*z discontinuity across the
-    angular seam of a polar grid (angle liftings), zero for single-valued
-    fields."""
+    """Scalar nodal field."""
 
-    grid: Grid
+    grid: CartesianGrid
     values: np.ndarray
-    jump: float = 0.0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         _check_shape(self.grid, self.values, 1)
-        if self.jump != 0.0 and not isinstance(self.grid, PolarGrid):
-            raise ValueError("seam jumps are only meaningful on polar grids")
 
 
 @dataclass
 class VectorField2D:
     """Two-component nodal field."""
 
-    grid: Grid
+    grid: CartesianGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:

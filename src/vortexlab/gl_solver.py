@@ -140,8 +140,6 @@ def _edge_row_weights(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
 def gl_energy(v: VectorField2D, params: GLParameters) -> EnergyBreakdown:
     """Energy of v with the parameters' coefficient, period, and eps."""
     grid = v.grid
-    if not isinstance(grid, CartesianGrid):
-        raise ValueError("the energy quadrature requires a Cartesian grid")
     w = v.values
     a_ex, a_ey = _edge_coefficients(grid, params.coefficient, params.delta)
     rx, ry = _edge_row_weights(grid)
@@ -672,8 +670,6 @@ def minimize_gl(
       energy raised it (in practice, non-finite values in the field).
     """
     grid = initial.grid
-    if not isinstance(grid, CartesianGrid):
-        raise ValueError("minimization requires a Cartesian grid")
     kernel = _DescentKernel(grid, params)
     # summation rounding of an energy over this many nodes
     floor_rtol = grid.node_shape[0] * grid.node_shape[1] * np.finfo(float).eps

@@ -10,7 +10,9 @@ integral a(x/delta)|grad w|^2 or the constant-tensor quadratic form
 integral <A grad w, grad w>.  The degree constraint is enforced by
 construction: w = exp(i u) with u = z*theta + phi and phi single-valued,
 which turns the nonconvex constraint set into an affine one and the
-minimization into one linear solve.
+minimization into one linear solve.  `min_annulus_energy` returns the
+minimum and that solve's `SolveInfo`; psi(z) needs only the number, so
+the minimizing phase is not kept.
 
 Log-polar coordinates (s, theta) = (log rho, theta) make the Dirichlet
 form conformally flat, so both solvers work on a plain rectangle:
@@ -53,9 +55,10 @@ import numpy as np
 
 from .cell_problem import HomogenizedTensor
 from .coefficients import PeriodicCoefficient
-from .fields import PolarGrid, ScalarField2D
+from .fields import PolarGrid
 from .solvers import (
     FaceOperator,
+    SolveInfo,
     SolverError,
     _mean_zero,
     dot,
@@ -166,8 +169,8 @@ def oscillating_annulus_grid(
 # -- oscillating mode: cell-centered finite volumes -----------------------------
 
 
-def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
-    """Returns (energy, nodal phi) for the oscillating-coefficient mode.
+def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, SolveInfo]:
+    """Returns (energy, SolveInfo) for the oscillating-coefficient mode.
 
     The cells are a (log-radius, angle) grid, natural or pinned along the
     radius and periodic along the angle; the solve is CG on that
@@ -220,7 +223,7 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
 
     try:
         # the right-hand side becomes CG's residual, freed on return
-        phi, _ = pcg(
+        phi, info = pcg(
             operator.apply, operator.rhs(0.0, gt), precond, rtol=1e-8,
             maxiter=max(50 * max(ns, nt), 2000), project=project,
         )
@@ -230,16 +233,7 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
             residual=exc.residual, iterations=exc.iterations,
         ) from exc
 
-    energy = operator.energy(phi, 0.0, gt)
-
-    # cell-centered phi -> nodal phi by adjacent-cell averaging
-    ext = np.concatenate([phi[:1, :], phi, phi[-1:, :]], axis=0)  # (ns+2, nt)
-    if problem.fixed_trace:
-        ext[0, :] = -phi[0, :]   # reflect through the pinned trace value 0
-        ext[-1, :] = -phi[-1, :]
-    mid = 0.5 * (ext[:-1, :] + ext[1:, :])  # (ns+1, nt) at node radii
-    nodal = 0.5 * (mid + np.roll(mid, 1, axis=1))  # average in theta
-    return energy, nodal
+    return operator.energy(phi, 0.0, gt), info
 
 
 # -- homogenized mode: Q1 finite elements ----------------------------------------
@@ -347,8 +341,8 @@ class _Q1Stiffness:
         return out
 
 
-def _homogenized_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
-    """Returns (energy, nodal phi) for the constant-tensor mode.
+def _homogenized_minimum(problem: AnnulusProblem) -> tuple[float, SolveInfo]:
+    """Returns (energy, SolveInfo) for the constant-tensor mode.
 
     The energy of phi is phi.K.phi + 2 f.phi + const over the nodes, with K
     the Q1 stiffness and f the z-load, neither of them assembled: K is
@@ -379,8 +373,8 @@ def _homogenized_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
                                      pinned=problem.fixed_trace)
     try:
         # pcg overwrites its right-hand side, and the energy reads rhs
-        sol, _ = pcg(stiffness, rhs.copy(), precond, rtol=1e-12,
-                     maxiter=max(50 * max(nr, nt), 2000), project=project)
+        sol, info = pcg(stiffness, rhs.copy(), precond, rtol=1e-12,
+                        maxiter=max(50 * max(nr, nt), 2000), project=project)
     except SolverError as exc:
         raise SolverError(
             f"annulus solve stalled at residual {exc.residual:.3e}",
@@ -390,26 +384,20 @@ def _homogenized_minimum(problem: AnnulusProblem) -> tuple[float, np.ndarray]:
     # phi vanishes off `rows`, so its energy is that of sol on them
     energy = (dot(sol, stiffness(sol)) - 2.0 * dot(rhs, sol)
               + z * z * const * (nr - 1))
-    phi = np.zeros((nr, nt))
-    phi[rows] = sol
-    return energy, phi
+    return energy, info
 
 
-def min_annulus_energy(problem: AnnulusProblem) -> tuple[float, ScalarField2D]:
-    """Minimum energy and minimizing phase lifting u = z*theta + phi.
+def min_annulus_energy(problem: AnnulusProblem) -> tuple[float, SolveInfo]:
+    """Minimum energy over the phases u = z*theta + phi, phi single-valued.
 
-    The lifting is returned on the problem's polar grid with a declared
-    jump of 2*pi*z across the angular seam (the branch cut runs along
-    theta = 0, i.e. the positive x-axis from the grid's center).
+    Returns (energy, SolveInfo of the linear solve: iterations and final
+    relative residual), the contract of `gl_solver.core_radius_energy`;
+    the minimizing phi is not kept.  Raises SolverError when the solve
+    stalls.
     """
     if problem.coefficient is not None:
-        energy, phi = _oscillating_minimum(problem)
-    else:
-        energy, phi = _homogenized_minimum(problem)
-    theta = problem.grid.theta()
-    u = problem.z * theta[None, :] + phi
-    lifting = ScalarField2D(problem.grid, u, jump=2.0 * math.pi * problem.z)
-    return energy, lifting
+        return _oscillating_minimum(problem)
+    return _homogenized_minimum(problem)
 
 
 # -- limit extrapolation -----------------------------------------------------------

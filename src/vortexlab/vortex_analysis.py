@@ -1,9 +1,8 @@
 """Topological diagnostics for planar complex-valued fields.
 
-Covers the pointwise objects (Jacobian determinant, modulus-truncated
-Jacobian), the integer-valued ones (winding-number degree on
-circles, per-plaquette vortex detection), atomic vortex measures, and the
-flat distance between two such measures.
+Covers the Jacobian determinant, the integer-valued diagnostics (winding
+along the domain boundary, per-plaquette vortex detection), atomic vortex
+measures, and the flat distance between two such measures.
 
 The primary vortex detector is plaquette winding of v/|v| rather than the
 raw Jacobian: winding is integer-valued and invariant under any positive
@@ -30,7 +29,6 @@ __all__ = [
     "DegreeResult",
     "FlatDistanceResult",
     "jacobian",
-    "degree",
     "boundary_degree",
     "detect_vortices",
     "flat_distance",
@@ -155,8 +153,6 @@ def jacobian(v: VectorField2D) -> ScalarField2D:
     per direction, which makes the identity map give det = 1 exactly and
     keeps the discrete divergence-form identity within O(h).
     """
-    if not isinstance(v.grid, CartesianGrid):
-        raise ValueError("jacobian requires a Cartesian grid")
     h = v.grid.h
     w = v.values
     dx = 0.5 * (w[1:, :-1] - w[:-1, :-1] + w[1:, 1:] - w[:-1, 1:]) / h
@@ -179,79 +175,12 @@ def _wrap(a: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * a))
 
 
-def _bilinear(grid: CartesianGrid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of nodal values at points (m, 2)."""
-    h = grid.h
-    nx, ny = grid.n
-    fx = (pts[:, 0] - grid.origin[0]) / h
-    fy = (pts[:, 1] - grid.origin[1]) / h
-    i = np.clip(np.floor(fx).astype(int), 0, nx - 1)
-    j = np.clip(np.floor(fy).astype(int), 0, ny - 1)
-    tx = fx - i
-    ty = fy - j
-    out = (
-        (1 - tx) * (1 - ty) * values[i, j]
-        + tx * (1 - ty) * values[i + 1, j]
-        + (1 - tx) * ty * values[i, j + 1]
-        + tx * ty * values[i + 1, j + 1]
-    )
-    return out
-
-
-def degree(
-    v: VectorField2D,
-    center: tuple[float, float],
-    radius: float,
-    n_samples: int = 256,
-) -> DegreeResult:
-    """Winding number of v around a circle, by sampled angle unwrapping.
-
-    The total unwrapped angle increment over `n_samples` points divided by
-    2 pi is rounded to the nearest integer; the pre-rounding residual is a
-    quality metric.  The sweep stops one step short of closing the loop,
-    so a clean degree-z circle leaves a residual near |z|/n_samples —
-    the residual grows as the sampling approaches one sample per half
-    turn, which is exactly when the branch-unwrapping becomes unreliable.
-    Residual <= 0.25 passes silently, <= 0.45 warns about
-    under-resolution, larger values are rejected.
-    """
-    if n_samples < 16:
-        raise ValueError(f"need n_samples >= 16, got {n_samples}")
-    if not isinstance(v.grid, CartesianGrid):
-        raise ValueError("degree sampling requires a Cartesian grid")
-    ang = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    pts = np.stack(
-        [center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)],
-        axis=-1,
-    )
-    v1 = _bilinear(v.grid, v.values[..., 0], pts)
-    v2 = _bilinear(v.grid, v.values[..., 1], pts)
-    if np.any(np.hypot(v1, v2) <= 1e-12):
-        raise ValueError("degree undefined on curve: |v| vanishes at a sample")
-    theta = np.arctan2(v2, v1)
-    increments = _wrap(np.diff(theta))
-    winding = float(increments.sum()) / (2.0 * np.pi)
-    value = int(round(winding))
-    residual = abs(winding - value)
-    if residual > 0.45:
-        raise ValueError(
-            f"winding residual {residual:.3f} > 0.45: curve under-resolved"
-        )
-    if residual > 0.25:
-        warnings.warn(
-            f"under-resolved winding: residual {residual:.3f}", stacklevel=2
-        )
-    return DegreeResult(value, residual)
-
-
 def boundary_degree(v: VectorField2D) -> DegreeResult:
     """Winding of v along the rectangle boundary, counterclockwise.
 
     Uses the boundary nodes themselves (no interpolation); the residual is
     exactly zero up to roundoff because the increments telescope.
     """
-    if not isinstance(v.grid, CartesianGrid):
-        raise ValueError("boundary winding requires a Cartesian grid")
     w = v.values
     ring = np.concatenate([
         w[:, 0, :],            # bottom, left to right
@@ -281,8 +210,6 @@ def detect_vortices(v: VectorField2D) -> VortexMeasure:
     under positive modulus rescaling.  Nodes where |v| is exactly 0 have
     no phase; their count is reported in a warning.
     """
-    if not isinstance(v.grid, CartesianGrid):
-        raise ValueError("vortex detection requires a Cartesian grid")
     w = v.values
     mod = np.hypot(w[..., 0], w[..., 1])
     n_zero = int(np.count_nonzero(mod == 0.0))

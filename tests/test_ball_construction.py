@@ -122,6 +122,24 @@ def test_cascading_merges_conserve_weight():
     assert len(tl.family_at(50.0)) == 1
 
 
+def test_cascade_events_index_the_epoch_family():
+    # balls 0 and 2 touch at t = 0.1; their enclosing ball then overlaps
+    # ball 3, so the cascade's second event merges balls 0, 2 and 3 of the
+    # epoch's family (it used to read (0, 2), indices into the family
+    # renumbered by the first merge)
+    balls = [
+        WeightedBall((0.0, 0.0), 1.0, 1),
+        WeightedBall((5.0, 5.0), 0.5, 1),
+        WeightedBall((2.2, 0.0), 1.0, 1),
+        WeightedBall((1.1, 2.6), 0.5, 1),
+    ]
+    tl = evolve(balls, 0.5)
+    assert [ev.merged_indices for ev in tl.events] == [(0, 2), (0, 2, 3)]
+    assert tl.events[0].time == tl.events[1].time == pytest.approx(0.1)
+    assert [ev.result.weight for ev in tl.events] == [2, 3]
+    assert len(tl.epochs[-1][1]) == 2
+
+
 def test_evolve_validates_inputs():
     with pytest.raises(ValueError):
         WeightedBall((0.0, 0.0), 0.0, 1)

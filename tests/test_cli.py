@@ -440,6 +440,45 @@ def test_flat_writes_under_the_default_out(tmp_path, monkeypatch, capsys):
     assert payload["value"] == pytest.approx(0.1, rel=1e-9)
 
 
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(tmp_path,
+                                                                capsys):
+    # "" and a path through a regular file used to end in a
+    # FileNotFoundError or NotADirectoryError traceback (exit 1) after the
+    # computation had run: flat printed its distance first
+    dom = Rectangle((0.0, 0.0), (1.0, 1.0))
+    VortexMeasure((((0.5, 0.5), 1),), dom).to_csv(str(tmp_path / "a.csv"))
+    constant = {"kind": "constant", "value": 2.0}
+    configs = {
+        "cell": {"coefficient": constant, "resolution": 16},
+        "psi": {"tensor": {"a11": 1.0, "a22": 1.0}, "ratios": [4.0, 8.0, 16.0],
+                "n_theta": 16},
+        "minimize": {"coefficient": constant, "epsilon": 2.0**-3,
+                     "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+                     "max_iterations": 1},
+        "balls": {"balls": [{"x": 0.0, "y": 0.0, "radius": 0.1, "weight": 1},
+                            {"x": 1.0, "y": 0.0, "radius": 0.1, "weight": -1}]},
+        "scaling": {"coefficient": constant,
+                    "vortices": [{"x": 0.5, "y": 0.5, "charge": 1}],
+                    "regime": {"kind": "delta_proportional"},
+                    "epsilons": {"k_min": 3, "k_max": 4},
+                    "solver": {"tensor_resolution": 32}},
+        "flat": {},
+    }
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for command, payload in configs.items():
+        cfg = _config(tmp_path, payload, name=f"{command}.json")
+        argv = [command, "--config", cfg]
+        if command == "flat":
+            argv[1:1] = [str(tmp_path / "a.csv"), str(tmp_path / "a.csv")]
+        for out in ("", str(blocker / "sub")):
+            assert cli.main(argv + ["--out", out]) == 2, (command, out)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "config error: --out" in captured.err
+            assert "Traceback" not in captured.err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"coefficient": ', encoding="utf-8")

@@ -1,7 +1,5 @@
 """Grids and field validation."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,19 +27,6 @@ def test_cartesian_grid_validation():
         CartesianGrid((0.0, 0.0), (1.0, 1.0), (8, 12))  # non-square cells
 
 
-def test_polar_grid_log_spacing():
-    g = PolarGrid((0.0, 0.0), 0.1, 10.0, 16, 32)
-    rho = g.rho()
-    assert rho[0] == pytest.approx(0.1)
-    assert rho[-1] == pytest.approx(10.0)
-    ratios = rho[1:] / rho[:-1]
-    assert np.allclose(ratios, ratios[0])
-    th = g.theta()
-    assert th[0] == 0.0
-    assert len(th) == 32  # periodic, no duplicate seam node
-    assert th[-1] < 2.0 * math.pi
-
-
 def test_vector_field_shape_validation():
     g = CartesianGrid((0.0, 0.0), (1.0, 1.0), (8, 8))
     with pytest.raises(ValueError):
@@ -50,7 +35,9 @@ def test_vector_field_shape_validation():
         ScalarField2D(g, np.zeros((8, 8)))  # node shape mismatch
 
 
-def test_scalar_jump_only_on_polar():
-    g = CartesianGrid((0.0, 0.0), (1.0, 1.0), (8, 8))
-    with pytest.raises(ValueError):
-        ScalarField2D(g, np.zeros(g.node_shape), jump=1.0)
+def test_fields_need_a_cartesian_grid():
+    g = PolarGrid((0.0, 0.0), 0.1, 10.0, 16, 32)
+    with pytest.raises(ValueError, match="CartesianGrid"):
+        VectorField2D(g, np.zeros((16, 32, 2)))
+    with pytest.raises(ValueError, match="CartesianGrid"):
+        ScalarField2D(g, np.zeros((16, 32)))

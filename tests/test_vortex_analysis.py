@@ -12,7 +12,6 @@ from vortexlab.vortex_analysis import (
     Rectangle,
     VortexMeasure,
     boundary_degree,
-    degree,
     detect_vortices,
     flat_distance,
     jacobian,
@@ -72,50 +71,6 @@ def test_measure_csv_roundtrip(tmp_path):
 # -- degree ----------------------------------------------------------------------
 
 
-def test_degree_of_single_vortex():
-    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
-    v = _phase_field(grid, (((0.5, 0.5), 1),))
-    res = degree(v, (0.5, 0.5), 0.3)
-    assert res.value == 1
-    assert res.residual < 0.05
-    assert degree(v, (0.1, 0.1), 0.05).value == 0
-
-
-def test_degree_of_double_vortex():
-    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
-    v = _phase_field(grid, (((0.5, 0.5), -2),))
-    assert degree(v, (0.5, 0.5), 0.25).value == -2
-
-
-def test_degree_residual_thresholds():
-    # the unclosed sweep leaves a residual near |z| / n_samples, so the
-    # thresholds fire exactly when the samples-per-turn count gets low
-    grid = CartesianGrid((-1.0, -1.0), (2.0, 2.0), (128, 128))
-    v8 = _phase_field(grid, (((0.0, 0.0), 8),))
-    with pytest.warns(UserWarning, match="under-resolved"):
-        res = degree(v8, (0.0, 0.0), 0.7, n_samples=24)
-    assert res.value == 8
-    assert res.residual == pytest.approx(8.0 / 24.0, abs=0.02)
-    # eleven turns over 24 samples: residual past 0.45, rejected
-    v11 = _phase_field(grid, (((0.0, 0.0), 11),))
-    with pytest.raises(ValueError, match="under-resolved"):
-        degree(v11, (0.0, 0.0), 0.7, n_samples=24)
-    # plenty of samples: silent and nearly exact
-    res = degree(v8, (0.0, 0.0), 0.7)
-    assert res.value == 8
-    assert res.residual == pytest.approx(8.0 / 256.0, abs=0.03)
-
-
-def test_degree_rejects_vanishing_modulus():
-    grid = CartesianGrid((-1.0, -1.0), (2.0, 2.0), (128, 128))
-    # modulus |x| vanishes at the node (0, 0), which the circle centred at
-    # (0.25, 0) with radius 0.25 hits exactly at its leftmost sample
-    v = _phase_field(grid, (((0.0, 0.0), 1),),
-                     modulus=lambda x, y: np.hypot(x, y))
-    with pytest.raises(ValueError, match="degree undefined"):
-        degree(v, (0.25, 0.0), 0.25, n_samples=16)
-
-
 def test_boundary_degree_sums_charges():
     grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (96, 96))
     atoms = (((0.3, 0.4), 1), ((0.7, 0.6), -2), ((0.5, 0.2), 1))
@@ -125,6 +80,34 @@ def test_boundary_degree_sums_charges():
     assert res.residual < 0.05
     v2 = _phase_field(grid, (((0.5, 0.5), 2),))
     assert boundary_degree(v2).value == 2
+
+
+def test_degree_of_single_vortex():
+    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
+    v = _phase_field(grid, (((0.5, 0.5), 1),))
+    res = boundary_degree(v)
+    assert res.value == 1
+    assert res.residual < 0.05
+    # a vortex outside the rectangle does not wind its boundary
+    outside = _phase_field(grid, (((1.5, 1.5), 1),))
+    assert boundary_degree(outside).value == 0
+
+
+def test_degree_of_double_vortex():
+    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
+    v = _phase_field(grid, (((0.5, 0.5), -2),))
+    assert boundary_degree(v).value == -2
+    assert detect_vortices(v).total_charge == -2
+
+
+def test_degree_rejects_vanishing_modulus():
+    grid = CartesianGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
+    # modulus |x| vanishes at the corner node (0, 0), which the boundary
+    # sweep starts from: that node has no phase
+    v = _phase_field(grid, (((0.5, 0.5), 1),),
+                     modulus=lambda x, y: np.hypot(x, y))
+    with pytest.raises(ValueError, match="degree undefined"):
+        boundary_degree(v)
 
 
 # -- jacobians ---------------------------------------------------------------------

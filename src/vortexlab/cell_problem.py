@@ -11,7 +11,8 @@ cell-centered finite volumes with harmonic averaging of a at cell faces
 (the standard choice for discontinuous coefficients; arithmetic averaging
 biases checkerboard-type fields high).  The periodic singular system, a
 periodic `solvers.FaceOperator`, is solved by FFT-preconditioned conjugate
-gradients with a mean-zero projection every iteration.
+gradients with a mean-zero projection every iteration, to the relative
+residual `_RTOL`.
 
 Off-diagonal entries come from polarization:
 a12 = (E(e1+e2) - E(e1) - E(e2)) / 2.
@@ -47,6 +48,8 @@ __all__ = [
 
 #: smallest cell grid side that `solve_corrector` accepts
 MIN_RESOLUTION = 16
+#: relative residual of every corrector solve
+_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,11 @@ def solve_corrector(
     coeff: PeriodicCoefficient,
     xi: tuple[float, float],
     n: int,
-    rtol: float = 1e-9,
 ) -> CorrectorSolution:
     """Minimize the cell quadratic form for direction xi on an n x n grid.
 
     Equivalently solves div(a (xi + grad phi)) = 0 with periodic boundary
-    conditions, to relative residual `rtol`, by CG on the periodic
+    conditions, to relative residual `_RTOL`, by CG on the periodic
     `solvers.FaceOperator` of the harmonic face weights, preconditioned by
     the inverse of the constant-coefficient operator (2-d real FFT).  The
     returned energy is the quadratic form at the minimizer, i.e. the value
@@ -154,7 +156,7 @@ def solve_corrector(
         return _mean_zero(operator.apply(v))
 
     try:
-        phi, info = pcg(apply, b, precond, rtol=rtol, maxiter=50 * n,
+        phi, info = pcg(apply, b, precond, rtol=_RTOL, maxiter=50 * n,
                         project=_mean_zero)
     except SolverError as exc:
         raise SolverError(
@@ -170,13 +172,11 @@ def solve_corrector(
                              info.relative_residual, info.iterations)
 
 
-def homogenized_tensor(
-    coeff: PeriodicCoefficient, n: int, rtol: float = 1e-9
-) -> HomogenizedTensor:
+def homogenized_tensor(coeff: PeriodicCoefficient, n: int) -> HomogenizedTensor:
     """Assemble the effective tensor from three corrector solves."""
-    e1 = solve_corrector(coeff, (1.0, 0.0), n, rtol)
-    e2 = solve_corrector(coeff, (0.0, 1.0), n, rtol)
-    e12 = solve_corrector(coeff, (1.0, 1.0), n, rtol)
+    e1 = solve_corrector(coeff, (1.0, 0.0), n)
+    e2 = solve_corrector(coeff, (0.0, 1.0), n)
+    e12 = solve_corrector(coeff, (1.0, 1.0), n)
     a11 = e1.energy
     a22 = e2.energy
     a12 = 0.5 * (e12.energy - a11 - a22)
@@ -218,7 +218,7 @@ def _extrapolate(values: list[float], ns: list[int]) -> tuple[float, float | Non
 
 
 def refine_tensor(
-    coeff: PeriodicCoefficient, n_sequence: list[int], rtol: float = 1e-9
+    coeff: PeriodicCoefficient, n_sequence: list[int]
 ) -> TensorRefinement:
     """Tensor on a sequence of grids plus Richardson-extrapolated entries.
 
@@ -231,7 +231,7 @@ def refine_tensor(
         b <= a for a, b in zip(n_sequence, n_sequence[1:])
     ):
         raise ValueError(f"n_sequence must be increasing, length >= 2: {n_sequence}")
-    table = [homogenized_tensor(coeff, n, rtol) for n in n_sequence]
+    table = [homogenized_tensor(coeff, n) for n in n_sequence]
     ns = list(n_sequence)
 
     entries: dict[str, float] = {}

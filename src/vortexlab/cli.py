@@ -53,7 +53,6 @@ from .gl_solver import (
     relocated_measure,
 )
 from .singularity_cost import (
-    _MIN_CELLS_PER_PERIOD,
     _OSCILLATING_SOLVE_BYTES_PER_CELL,
     DEFAULT_CELLS_PER_PERIOD,
     capital_psi,
@@ -180,19 +179,15 @@ def _cmd_psi(args: argparse.Namespace) -> int:
         kwargs["coefficient"] = coefficient_from_spec(data["coefficient"])
         kwargs["delta"] = _positive(data, "delta", "top level")
         if "cells_per_period" in data:
-            cells = _number(data, "cells_per_period", "top level")
-            if cells < _MIN_CELLS_PER_PERIOD:
-                raise ConfigError(
-                    f"'cells_per_period' must be >= {_MIN_CELLS_PER_PERIOD:g}"
-                )
-            kwargs["cells_per_period"] = cells
+            kwargs["cells_per_period"] = _number(data, "cells_per_period",
+                                                 "top level")
         memory = _physical_memory()
         for ratio in ratios:
             try:
                 grid = oscillating_annulus_grid(
                     1.0, ratio, kwargs["delta"],
                     kwargs.get("cells_per_period", DEFAULT_CELLS_PER_PERIOD))
-            except ValueError as exc:  # a grid too fine to allocate
+            except ValueError as exc:  # too few cells, or too many to allocate
                 raise ConfigError(str(exc)) from exc
             need = ((grid.n_r - 1) * grid.n_theta
                     * _OSCILLATING_SOLVE_BYTES_PER_CELL)

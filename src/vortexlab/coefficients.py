@@ -168,8 +168,8 @@ class PeriodicCoefficient:
     def ess_inf(self) -> float:
         """Essential infimum of the field over the unit cell.
 
-        Exact (analytic) for all kinds except raster, where it is the
-        sample minimum; see `ess_inf_sampled`.
+        Exact (analytic) for all kinds except raster, which is known only
+        at its samples: there it is the sample minimum.
         """
         k = self.kind
         p = self.params
@@ -182,15 +182,6 @@ class PeriodicCoefficient:
         if k == "raster":
             return float(p["samples"].min())
         raise ValueError(f"unknown coefficient kind {k!r}")  # pragma: no cover
-
-    @property
-    def ess_inf_sampled(self) -> bool:
-        """True when ess_inf is a sample minimum rather than an exact value.
-
-        Raster fields are only known at their sample points, so their
-        infimum carries a sampling-resolution caveat.
-        """
-        return self.kind == "raster"
 
     def min_point(self) -> tuple[float, float]:
         """A point of the unit cell where the field attains its minimum.

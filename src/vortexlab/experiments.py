@@ -11,8 +11,9 @@ Each row records energy/|log eps| next to the predicted limit
 
     2 pi ((1 - lambda) ess inf a + lambda sqrt(det A_hom)) |mu|,
 
-with lambda = min(|log delta|/|log eps|, 1) computed from the actual
-schedule, and A_hom always the tensor solved numerically in the same run.
+with lambda = min(max(-log delta, 0)/|log eps|, 1) computed from the
+actual schedule (0 for delta >= 1), and A_hom always the tensor solved
+numerically in the same run.
 
 Config files are strict JSON: unknown keys are rejected with their
 location, so typos fail loudly instead of silently using defaults.
@@ -443,7 +444,7 @@ def _delta_for(config: ExperimentConfig, epsilon: float) -> float:
 
 
 def _lambda_effective(epsilon: float, delta: float) -> float:
-    return min(abs(math.log(delta)) / abs(math.log(epsilon)), 1.0)
+    return min(max(0.0, -math.log(delta)) / abs(math.log(epsilon)), 1.0)
 
 
 def _perturbed_start(v: VectorField2D, rng: np.random.Generator) -> VectorField2D:
@@ -527,9 +528,7 @@ def run_scaling_study(
     per epsilon, what the row's solve reported.
     """
     t_start = time.perf_counter()
-    tensor = homogenized_tensor(
-        config.coefficient, n=config.tensor_resolution, rtol=1e-9
-    )
+    tensor = homogenized_tensor(config.coefficient, n=config.tensor_resolution)
     tensor_time = time.perf_counter() - t_start
 
     rows, timings, solves = [], {}, []

@@ -86,10 +86,6 @@ class GLParameters:
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
-    @property
-    def domain(self) -> Rectangle:
-        return Rectangle(self.grid.origin, self.grid.extent)
-
 
 def default_grid(
     domain: Rectangle, epsilon: float, cells_per_eps: int = 4
@@ -182,6 +178,15 @@ def relocated_measure(
     return VortexMeasure(tuple(atoms), mu.domain)
 
 
+def _require_separated(mu: VortexMeasure, eps: float) -> None:
+    """ValueError unless mu is separated at scale eps (`is_separated`)."""
+    if not mu.is_separated(eps):
+        raise ValueError(
+            f"measure separation {mu.separation():.3e} is below 2*eps; "
+            "the construction needs disjoint core neighborhoods"
+        )
+
+
 def recovery_field(mu: VortexMeasure, params: GLParameters) -> VectorField2D:
     """Competitor field carrying the vortex measure mu: the superposition of
     angle fields, sum of z arg(x - a) over the atoms, with modulus r/eps
@@ -198,11 +203,7 @@ def recovery_field(mu: VortexMeasure, params: GLParameters) -> VectorField2D:
             f"grid spacing h={grid.h:.3e} violates the core resolution rule "
             f"h <= eps/4 = {eps / 4.0:.3e}"
         )
-    if not mu.is_separated(eps):
-        raise ValueError(
-            f"measure separation {mu.separation():.3e} is below 2*eps; "
-            "the construction needs disjoint core neighborhoods"
-        )
+    _require_separated(mu, eps)
     xx, yy = grid.node_mesh()
     phase = np.zeros(grid.node_shape)
     modulus = np.ones(grid.node_shape)
@@ -263,8 +264,9 @@ def core_radius_energy(
 
     Returns (energy, SolveInfo of the refined solve: inner iterations in
     all, final float64 relative residual, outer steps).  Raises
-    SolverError when an inner solve fails, or when an outer step gives a
-    non-finite residual or does not lower it.
+    ValueError when mu is not separated at scale eps, as `recovery_field`
+    does, and SolverError when an inner solve fails, or when an outer step
+    gives a non-finite residual or does not lower it.
     """
     phi, info, faces = _core_radius_phase(mu, params, n, rtol)
     return _row_sum(phi, lambda i0, i1: _face_energy(
@@ -321,6 +323,7 @@ def _core_radius_phase(
     if abs(lx - ly) > 1e-12 * lx:
         raise ValueError("the proxy solver expects a square domain")
     eps = params.epsilon
+    _require_separated(mu, eps)
     if n is None:
         n = _proxy_cells(lx, eps)
     h = lx / n
@@ -469,8 +472,12 @@ def _core_radius_phase(
 @dataclass(frozen=True)
 class MinimizeBudget:
     max_iterations: int = 2000
-    stall_window: int = 50
     stall_rtol: float = 1e-8
+
+
+#: Iterations over which a descent's relative decrease is compared with
+#: `MinimizeBudget.stall_rtol` (see `minimize_gl`).
+_STALL_WINDOW = 50
 
 
 #: Why a descent stopped (see `minimize_gl`); the first three are convergence.
@@ -660,8 +667,8 @@ def minimize_gl(
 
     `stop_reason` says why the descent ended (`converged` is true for the
     first three):
-    - `stalled`: the relative decrease over `stall_window` iterations fell
-      below `stall_rtol`;
+    - `stalled`: the relative decrease over `_STALL_WINDOW` (50)
+      iterations fell below `stall_rtol`;
     - `rounding_floor`: a steepest-descent step was rejected while its
       predicted decrease was within summation rounding of the energy;
     - `zero_gradient`: the gradient vanished exactly;
@@ -717,9 +724,8 @@ def minimize_gl(
         d -= g
         energy, gg = energy_new, gg_new
         trace.append(energy)
-        win = budget.stall_window
-        if len(trace) > win:
-            drop = trace[-win - 1] - trace[-1]
+        if len(trace) > _STALL_WINDOW:
+            drop = trace[-_STALL_WINDOW - 1] - trace[-1]
             if drop < budget.stall_rtol * max(abs(trace[-1]), 1e-300):
                 stop_reason = "stalled"
                 break

@@ -224,7 +224,7 @@ def _oscillating_minimum(problem: AnnulusProblem) -> tuple[float, SolveInfo]:
     try:
         # the right-hand side becomes CG's residual, freed on return
         phi, info = pcg(
-            operator.apply, operator.rhs(0.0, gt), precond, rtol=1e-8,
+            operator, operator.rhs(0.0, gt), precond, rtol=1e-8,
             maxiter=max(50 * max(ns, nt), 2000), project=project,
         )
     except SolverError as exc:

@@ -39,21 +39,22 @@ rectangular index grid, and this module holds one of each part:
 
     `dct2_preconditioner` also serves masked grids: it inverts the
     zero-filled extension and restricts the result to the active cells.
+    Every factory's function has `with_dot` (see Reductions).
 
 Periodic axes use the real-input FFT: the data are real, so only the
 n//2 + 1 nonnegative frequencies are transformed and divided.  All
 transforms are unitary up to diagonal scalings that commute with the
 eigenvalue division, so each preconditioner is symmetric positive definite
-on the relevant subspace.  On the all-real (DCT-II) path both 2-d
-transforms run in place on one work buffer whose rows are padded by a
-cache line: at 2048^2 an unpadded row's power-of-two stride sent every
-column of the axis-0 pass to the same cache sets, and a fresh output had
-to be faulted in on every forward call.  That path stores no eigenvalue
-grid, so the buffer costs no memory: each row chunk of the division
-rebuilds its block from the per-axis eigenvalue vectors.  The buffer is
-also the result, restricted in place, so a call allocates no grid; the
-caller may pass the buffer in (`buffer=`) and share it with an operator's
-output (`FaceOperator(out=)`), as the core-radius solve does.
+on the relevant subspace.  No inverse stores its eigenvalue grid: each
+row chunk of the division rebuilds its block from the per-axis eigenvalue
+vectors.  On the all-real (DCT-II) path both 2-d transforms run in place
+on one work buffer whose rows are padded by a cache line: at 2048^2 an
+unpadded row's power-of-two stride sent every column of the axis-0 pass
+to the same cache sets, and a fresh output had to be faulted in on every
+forward call.  The buffer is also the result, restricted in place, so a
+call allocates no grid; the caller may pass the buffer in (`buffer=`) and
+share it with an operator's output (`FaceOperator(out=)`), as the
+core-radius solve does.
 
 Work precision.  Everything runs in float64 except where a caller asks a
 spectral inverse for float32 (`dtype=`); CG absorbs an inverse that is
@@ -92,10 +93,10 @@ the array's shape alone, the partials added in chunk order.  numpy's
 own threads, so its bits depend on the BLAS thread count; these sums do
 not.  The chunk that computes a partial is often already in cache: CG
 takes r.r in its x/r update, p.Ap in `FaceOperator`'s row pass and r.z in
-the last pass of the DCT-II and of the float32 mixed inverse
-(`with_dot`).  Each 1-d transform and each element is computed the same
-way whatever the thread count, so solutions are bit-for-bit the same for
-every `_WORKERS`, core count and BLAS setting.
+the last pass of every spectral inverse (`with_dot`).  Each 1-d transform
+and each element is computed the same way whatever the thread count, so
+solutions are bit-for-bit the same for every `_WORKERS`, core count and
+BLAS setting.
 """
 
 from __future__ import annotations
@@ -323,16 +324,17 @@ def pcg(
 
     The vectors keep the dtype of `rhs` (float64 or float32); the inner
     products are float64 (`dot`).  An operator or preconditioner with a
-    `with_dot` attribute (`FaceOperator`, `dct2_preconditioner`) has it
-    called instead, and returns the pair (output, input . output) from the
-    pass that writes the output; r.r is taken in the x/r update.  The
-    grid arrays held are x, r (`rhs` itself) and p, beside the operator's
-    output Ap and the preconditioner's output z.  Ap is read only in the
-    x/r update, before the preconditioner is called, and z only in the
-    update of p, before the operator is called again; so the two may be
-    one array that the operator and the preconditioner each overwrite
-    (`FaceOperator(out=)` and `dct2_preconditioner(buffer=)` on the same
-    grid, as in `gl_solver.core_radius_energy`).  After set-up the loop
+    `with_dot` attribute (`FaceOperator`, every preconditioner factory's
+    function) has it called instead, and returns the pair (output,
+    input . output) from the pass that writes the output; r.r is taken in
+    the x/r update.  The grid arrays held are x, r (`rhs` itself) and p,
+    beside the operator's output Ap and the preconditioner's output z.
+    Ap is read only in the x/r update, before the preconditioner is
+    called, and z only in the update of p, before the operator is called
+    again; so the two may be one array that the operator and the
+    preconditioner each overwrite (`FaceOperator(out=)` and
+    `dct2_preconditioner(buffer=)` on the same grid, as in
+    `gl_solver.core_radius_energy`).  After set-up the loop
     allocates no grid-size arrays of its own (only cache-sized
     temporaries); the operator and the preconditioner may.
     The vector updates run in `_row_blocks`, on several threads for large
@@ -708,9 +710,10 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     The real transform runs first, in one call over every axis that has it
     (two real axes must share it), then the real-input FFT over the
     periodic axes, which keeps the n1 // 2 + 1 nonnegative frequencies of
-    axis 1 (so a periodic axis 0 needs a periodic axis 1).  When no axis is
-    pinned, the constant mode, whose eigenvalue is exactly 0, is projected
-    out.
+    axis 1 (so a periodic axis 0 needs a periodic axis 1).  The division
+    rebuilds each row chunk of the eigenvalue grid from the per-axis
+    vectors, so no grid of eigenvalues is stored.  When no axis is pinned,
+    the constant mode, whose eigenvalue is exactly 0, is projected out.
 
     `dtype` is the work precision: the transforms, the eigenvalues (from
     copies of the per-axis vectors and `scale` in `dtype`) and the
@@ -719,24 +722,21 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     With no periodic axis both transforms run in place on one work buffer
     per instance: `buffer`, an array of `shape` in `dtype`, or else one
     allocated here with rows padded by `_ROW_PAD_BYTES` (`_padded_grid`).
-    The eigenvalue grid is not stored but rebuilt per row chunk of the
-    division from the per-axis vectors, with the same arithmetic.  The
-    buffer is the result: given the boolean mask `restrict`, it is
+    The buffer is the result: given the boolean mask `restrict`, it is
     restricted to the True cells and re-centred there, in place (the
     inactive cells are zeroed, the mean over the active ones (`_row_sum`)
-    is subtracted in one last chunked pass and the inactive cells are
-    zeroed again).  So each call returns the same array, which the next
-    call overwrites; a caller that keeps a result copies it.  Such an
-    instance is not reentrant: it must not be applied from two threads at
-    once.
+    is subtracted in the last pass and the inactive cells are zeroed
+    again).  So each call returns the same array, which the next call
+    overwrites; a caller that keeps a result copies it.  Such an instance
+    is not reentrant: it must not be applied from two threads at once.
 
     With a periodic axis the transforms go into fresh arrays (`r` cast to
-    `dtype` first) and the division is by a stored grid; no `restrict` is
-    taken.  The result is float64, for the float64 CGs these paths serve:
-    in float64 it is the last transform's output, and in float32 one last
-    chunked pass casts it into a fresh array.
+    `dtype` first), and no `restrict` or `buffer` is taken.  The result is
+    float64, for the float64 CGs these paths serve.
 
-    Where there is a last pass (always on the all-real path), the returned
+    Every path ends in one chunked pass over the result.  It writes in
+    place where the last transform's output has the result's dtype, and
+    into a fresh float64 array on the float32 periodic path.  The returned
     function's `with_dot(r)` gives the pair (result, r . result) with the
     product taken in that pass (see `pcg`)."""
     (t0, k0, m0), (t1, k1, m1) = axes
@@ -784,13 +784,8 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
     if periodic:
         if restrict is not None or buffer is not None:
             raise ValueError("only the all-real path takes a mask or a buffer")
-        # a stored grid divides faster than one rebuilt per chunk (256^2
-        # FFT: 2.35 against 2.48 ms), and on the cell and annulus grids
-        # its memory sets no peak
-        stored, padded = eigenvalues(0, len(k0)), None
+        padded = None
     else:
-        # the rebuilt eigenvalues pay for the work buffer: see `_ROW_PAD_BYTES`
-        stored = None
         padded = _padded_grid(shape, dtype) if buffer is None else buffer
         if padded.shape != tuple(shape) or padded.dtype != dtype:
             raise ValueError(f"buffer must be a {dtype} array of shape "
@@ -815,7 +810,7 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
             w = sfft.rfftn(w, axes=periodic, workers=workers)
 
         def divide(i0: int, i1: int) -> None:
-            w[i0:i1] /= eigenvalues(i0, i1) if stored is None else stored[i0:i1]
+            w[i0:i1] /= eigenvalues(i0, i1)
 
         _row_blocks(w, divide)
         if singular:
@@ -828,16 +823,13 @@ def _spectral_inverse(shape: tuple[int, int], axes, scale: float,
                         workers=workers)
         return w
 
-    if padded is None and result == dtype:
-        return transform  # a fresh array in the result's dtype already
-
     def last_pass(r: np.ndarray, dot: bool):
-        """The output for the result of r (the work buffer itself on the
-        all-real path, a fresh float64 array otherwise), and the chunk
+        """The output for the result of r (the last transform's output, or a
+        fresh float64 array on the float32 periodic path), and the chunk
         kernel of the last pass that writes it (returning its chunk of
         r . result when `dot`)."""
         w = transform(r)
-        out = w if padded is not None else np.empty(shape, result)
+        out = w if w.dtype == result else np.empty(shape, result)
         if restrict is None:
             shift = None
         else:
@@ -896,8 +888,9 @@ def mixed_dct_fft_preconditioner(
     the exact inverse.  With np.float32 the transforms cost less, and the
     result is the inverse to about 1e-7 relative, symmetric only to that
     accuracy, which a float64 CG absorbs (as for `dct2_preconditioner`).
-    The returned function then has `with_dot`: one chunked pass casts the
-    result to float64 and takes r . z (`pcg`)."""
+    In either precision the returned function's `with_dot` takes r . z in
+    the last chunked pass, which in float32 also casts the result to
+    float64 (`pcg`)."""
     axis0 = _fv_axis("dst2" if pinned else "dct2", shape[0], coeff_axis0)
     return _spectral_inverse(
         shape, (axis0, _fv_axis("rfft", shape[1], coeff_axis1)), 1.0, dtype)
@@ -918,8 +911,7 @@ def dct2_preconditioner(
     `shape` in `dtype` (ValueError otherwise), or else one of shape
     (n0, n1 + one cache line) allocated here (`_padded_grid`); the padding
     breaks the power-of-two row stride that made the axis-0 pass miss the
-    cache at 2048^2.  The eigenvalues are rebuilt per row chunk from the
-    per-axis vectors rather than stored.  The buffer is the result: one
+    cache at 2048^2.  The buffer is the result: one
     chunked pass restricts it in place and for the function's `with_dot`
     also takes r . z (`pcg`).  Each call returns that same array (a view
     of the padded one), which the next call overwrites, so a caller that

@@ -85,6 +85,9 @@ def test_psi_bad_keys_exit_2(tmp_path, capsys):
         ({"delta": 0.1, "coefficient": {"kind": "constant", "value": 1.0},
           "n_theta": 64}, "unknown key 'n_theta' at top level (oscillating mode)"),
         ({"delta": 0.1}, "missing key 'coefficient'"),
+        # the annulus grid's own floor, 6 cells per period
+        ({"delta": 0.1, "coefficient": {"kind": "constant", "value": 1.0},
+          "cells_per_period": 5}, "cells_per_period must be >= 6"),
         ({"z_values": [1]}, "missing key 'coefficient'"),
     )
     for payload, message in cases:

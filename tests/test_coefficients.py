@@ -20,7 +20,6 @@ def test_constant_everywhere():
     pts = np.array([[0.0, 0.0], [0.3, -7.2], [125.5, 0.125]])
     assert np.all(a.eval(pts) == 3.0)
     assert a.ess_inf() == 3.0
-    assert not a.ess_inf_sampled
     assert a.eval(np.array([0.1, 0.9])) == 3.0  # single point -> scalar
 
 
@@ -91,7 +90,6 @@ def test_raster_lookup_and_min():
     assert a.eval(np.array([0.75, 0.25])) == 3.0
     assert a.eval(np.array([0.25, 0.75])) == 0.5
     assert a.ess_inf() == 0.5
-    assert a.ess_inf_sampled
     assert a.min_point() == (0.25, 0.75)
 
 

@@ -177,6 +177,35 @@ def test_power_law_regime_sets_lambda_exactly(tmp_path):
         assert row.lambda_effective == pytest.approx(0.5)
 
 
+def test_lambda_is_zero_where_delta_is_at_least_one(tmp_path):
+    # delta = 8 eps is 2, 1 and 1/2: lambda = min(max(-log delta, 0)/|log eps|,
+    # 1) reads 0, 0 and 1/4, where |log delta| rose again to 1/2 at delta = 2
+    path = _minimal(tmp_path, regime={"kind": "delta_proportional", "factor": 8},
+                    epsilons={"k_min": 2, "k_max": 4},
+                    solver={"tensor_resolution": 32})
+    rows = run_scaling_study(parse_config(path)).rows
+    assert [r.delta for r in rows] == [2.0, 1.0, 0.5]
+    assert [r.lambda_effective for r in rows[:2]] == [0.0, 0.0]
+    assert rows[2].lambda_effective == pytest.approx(0.25, rel=1e-15)
+    assert not any(r.flag for r in rows)
+
+
+def test_core_radius_rows_need_separated_atoms(tmp_path):
+    # log_slow at eps = 1/2 and 1/4 relocates the atom to less than 2 eps from
+    # the boundary, so its eps-disk leaves the domain: the proxy used to
+    # report an energy near 0 (rel_gap -1) with no flag
+    path = _minimal(tmp_path,
+                    coefficient={"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
+                    regime={"kind": "log_slow"}, epsilons={"k_min": 1, "k_max": 3},
+                    solver={"tensor_resolution": 32})
+    rows = run_scaling_study(parse_config(path)).rows
+    assert [bool(r.flag) for r in rows] == [True, True, False]
+    for row in rows[:2]:
+        assert math.isnan(row.energy)
+        assert "measure separation" in row.flag and "below 2*eps" in row.flag
+    assert rows[0].delta > 1.0 and rows[0].lambda_effective == 0.0
+
+
 def test_flagged_rows_survive_and_study_continues(tmp_path):
     # atoms 0.2 apart: recovery needs separation >= 2 eps, so the coarse
     # epsilons fail and the finest one succeeds

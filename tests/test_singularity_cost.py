@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexlab import coefficients, singularity_cost
+from vortexlab import coefficients, singularity_cost, solvers
 from vortexlab.cell_problem import HomogenizedTensor
 from vortexlab.fields import PolarGrid
 from vortexlab.solvers import SolverError
@@ -362,6 +362,24 @@ def test_checkerboard_annulus_bracketed_and_ordered():
         AnnulusProblem(grid, 1, coefficient=coeff, delta=1.0))
     limit = 4.0 * math.pi * log_r
     assert abs(free - limit) < abs(period_one - limit)
+
+
+def test_oscillating_annulus_takes_its_products_in_row_passes(monkeypatch):
+    # CG takes p . Ap in the operator's row pass and r . z in the inverse's
+    # last pass, so `dot` runs once, for the right-hand side's norm
+    calls = []
+    plain = solvers.dot
+
+    def counting(u, v):
+        calls.append(u.shape)
+        return plain(u, v)
+
+    monkeypatch.setattr(solvers, "dot", counting)
+    grid = oscillating_annulus_grid(1.0, 8.0, 0.25)
+    _, info = min_annulus_energy(AnnulusProblem(
+        grid, 1, coefficient=coefficients.checkerboard(1.0, 4.0), delta=0.25))
+    assert info.iterations > 1
+    assert len(calls) == 1
 
 
 def _dense_oscillating_energy(problem):

@@ -541,8 +541,46 @@ def test_float32_mixed_preconditioner_is_close_and_float64(monkeypatch, shape,
     if not pinned:
         v -= v.mean()
     assert np.vdot(v, got) == pytest.approx(np.vdot(r, single(v)), rel=1e-5)
-    # the float64 default is the exact inverse and returns a plain array
-    assert not hasattr(exact, "with_dot")
+    # the float64 default is the exact inverse, and takes r . z in its last
+    # pass too
+    z, rz = exact.with_dot(r)
+    assert np.array_equal(z, want) and rz == solvers.dot(r, want)
+
+
+_FACTORIES = {
+    "fft": lambda shape, mask: periodic_fft_preconditioner(shape, 1.3),
+    "mixed-free": lambda shape, mask: mixed_dct_fft_preconditioner(
+        shape, 1.3, 0.6),
+    "mixed-pinned": lambda shape, mask: mixed_dct_fft_preconditioner(
+        shape, 1.3, 0.6, pinned=True),
+    "mixed-free-float32": lambda shape, mask: mixed_dct_fft_preconditioner(
+        shape, 1.3, 0.6, dtype=np.float32),
+    "mixed-pinned-float32": lambda shape, mask: mixed_dct_fft_preconditioner(
+        shape, 1.3, 0.6, pinned=True, dtype=np.float32),
+    "dct2": lambda shape, mask: dct2_preconditioner(shape, 1.3),
+    "dct2-masked": lambda shape, mask: dct2_preconditioner(shape, 1.3,
+                                                           restrict=mask),
+    "q1-free": lambda shape, mask: q1_node_preconditioner(shape, 0.1, 0.2, 1.3),
+    "q1-pinned": lambda shape, mask: q1_node_preconditioner(
+        shape, 0.1, 0.2, 1.3, pinned=True),
+}
+
+
+# 520 x 512 is threaded
+@pytest.mark.parametrize("shape", [(12, 16), (520, 512)])
+@pytest.mark.parametrize("name", sorted(_FACTORIES))
+def test_every_preconditioner_takes_r_dot_z_in_its_last_pass(name, shape):
+    rng = np.random.default_rng(33)
+    mask = rng.uniform(size=shape) > 0.2
+    r = rng.standard_normal(shape)
+    pre = _FACTORIES[name](shape, mask)
+    z = pre(r)
+    # `dot` of the result as returned (the DCT-II's is a view of its padded
+    # work buffer), read before the next call overwrites that buffer
+    want = z.copy(), solvers.dot(r, z)
+    got, rz = pre.with_dot(r)
+    assert got.dtype == want[0].dtype and np.array_equal(got, want[0])
+    assert rz == want[1]
 
 
 def test_shared_work_grid_gives_the_bits_of_separate_arrays(monkeypatch):
